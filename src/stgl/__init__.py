@@ -10,8 +10,8 @@ application discretized with Ulam's method.
 from .benchmarks import (BenchmarkSpec, gen_benchmark1, gen_benchmark2,
                          gen_line_graph, gen_planted_partition, static_blocks)
 from .clustering import (ClusteringResult, Embedding, PipelineResult,
-                         adjusted_rand_index, kmeans, per_view_labels,
-                         score_against, select_spatial, spectral_cluster)
+                         adjusted_rand_index, kmeans, score_against,
+                         select_spatial, spectral_cluster)
 from .errors import (ConvergenceFailure, DegenerateInput, DensityVanished,
                      DirectedInput, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
@@ -21,8 +21,8 @@ from .gyre import (GyreParams, UlamGrid, boundary_columns, gyre_graph,
                    integrate_rk4, ulam_counts, ulam_transition, velocity)
 from .io import load_graph, save_graph
 from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
-                        assemble_system, classify_eigenvectors, coupling_graph,
-                        eigendecompose, fold_eigenvector, laplacian_spectrum)
+                        assemble_system, eigendecompose, fold_eigenvector,
+                        laplacian_spectrum)
 from .operators import (OperatorSequence, correlation, covariance_matrices,
                         koopman_apply, propagate_densities,
                         reweighted_pf_apply, row_normalize)

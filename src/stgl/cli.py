@@ -82,9 +82,16 @@ def _add_input_options(parser):
 def _add_cluster_options(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                        help="temporal-classification threshold")
     parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
+
+
+def _write_boxes(path, grid):
+    """Box-grid geometry sidecar of a gyre graph, for spatial plotting."""
+    io.write_json(path, {
+        "nx": grid.nx, "ny": grid.ny,
+        "particles_per_box": grid.particles_per_box,
+        "centers": grid.centers(),
+    })
 
 
 def cmd_generate(args):
@@ -93,12 +100,7 @@ def cmd_generate(args):
     path = args.file or os.path.join(out, f"{args.name}.json")
     io.save_graph(path, graph, labels)
     if args.name == "gyre":
-        grid = info["grid"]
-        io.write_json(os.path.splitext(path)[0] + "_boxes.json", {
-            "nx": grid.nx, "ny": grid.ny,
-            "particles_per_box": grid.particles_per_box,
-            "centers": grid.centers(),
-        })
+        _write_boxes(os.path.splitext(path)[0] + "_boxes.json", info["grid"])
     print(f"{args.name}: n={graph.n} M={graph.M} directed={graph.directed} "
           f"k_true={info.get('k_true')} -> {path}")
     return 0
@@ -110,9 +112,8 @@ def cmd_cluster(args):
     timings = {}
     start = time.perf_counter()
     result = spectral_cluster(graph, args.k, seed=args.seed,
-                              restarts=args.restarts, tau=args.tau,
-                              self_loops=not args.no_self_loops,
-                              k_eigs=args.k_eigs, truth=labels)
+                              restarts=args.restarts,
+                              self_loops=not args.no_self_loops, truth=labels)
     timings["pipeline_s"] = time.perf_counter() - start
 
     emb = result.embedding
@@ -121,8 +122,7 @@ def cmd_cluster(args):
     if args.export_vectors:
         io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), emb)
     config = {"command": "cluster", "k": args.k, "seed": args.seed,
-              "restarts": args.restarts, "tau": args.tau,
-              "self_loops": not args.no_self_loops, "k_eigs": args.k_eigs,
+              "restarts": args.restarts, "self_loops": not args.no_self_loops,
               **source}
     results = {
         "eigenvalues": emb.eigenvalues,
@@ -185,14 +185,14 @@ def cmd_spectrum(args):
     start = time.perf_counter()
     ops = propagate_densities(graph, self_loops=not args.no_self_loops)
     system = assemble_system(ops)
-    emb = eigendecompose(system, min(args.j, system.size), tau=args.tau,
+    emb = eigendecompose(system, min(args.j, system.size),
                          full_spectrum=args.full_spectrum)
     timings = {"total_s": time.perf_counter() - start}
     io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues,
                          emb.tags)
     if args.export_vectors:
         io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), emb)
-    config = {"command": "spectrum", "j": args.j, "tau": args.tau,
+    config = {"command": "spectrum", "j": args.j,
               "full_spectrum": args.full_spectrum,
               "self_loops": not args.no_self_loops, **source}
     io.write_report(os.path.join(out, "spectrum_report.json"), config,
@@ -213,17 +213,12 @@ def cmd_gyre(args):
     timings["integration_s"] = time.perf_counter() - start
 
     io.save_graph(os.path.join(out, "gyre.json"), graph)
-    io.write_json(os.path.join(out, "gyre_boxes.json"), {
-        "nx": grid.nx, "ny": grid.ny,
-        "particles_per_box": grid.particles_per_box,
-        "centers": grid.centers(),
-    })
+    _write_boxes(os.path.join(out, "gyre_boxes.json"), grid)
     start = time.perf_counter()
     # count rows are strictly positive, so no self-loop regularization: the
     # operators stay exactly the Ulam estimates
     result = spectral_cluster(graph, args.k, seed=args.seed,
-                              restarts=args.restarts, tau=args.tau,
-                              self_loops=False)
+                              restarts=args.restarts, self_loops=False)
     timings["pipeline_s"] = time.perf_counter() - start
     emb = result.embedding
     io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
@@ -233,7 +228,7 @@ def cmd_gyre(args):
                   [[t + 1, repr(float(b))] for t, b in enumerate(boundary)])
     config = {"command": "gyre", "k": args.k, "views": args.views,
               "gen_seed": args.gen_seed, "seed": args.seed,
-              "restarts": args.restarts, "tau": args.tau}
+              "restarts": args.restarts}
     results = {
         "eigenvalues": emb.eigenvalues,
         "tags": list(emb.tags),
@@ -285,8 +280,6 @@ def build_parser():
     p = sub.add_parser("cluster", help="full clustering pipeline")
     _add_input_options(p)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--k-eigs", type=int, default=None,
-                   help="dominant eigenpairs to compute (default k + M + 3)")
     p.add_argument("--no-self-loops", action="store_true",
                    help="skip unit self-loop regularization")
     p.add_argument("--export-vectors", action="store_true")
@@ -302,13 +295,14 @@ def build_parser():
                    default="normalized")
     p.add_argument("--keep-temporal", action="store_true",
                    help="do not filter temporal eigenvectors")
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
+                   help="temporal-classification threshold")
     _add_cluster_options(p)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("spectrum", help="dominant eigenvalues with tags")
     _add_input_options(p)
     p.add_argument("--j", type=int, default=10, help="how many eigenvalues")
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--full-spectrum", action="store_true",
                    help="include negative eigenvalues")
     p.add_argument("--no-self-loops", action="store_true")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InsufficientSpatialEigenvectors
 from .graph import TimeEvolvingGraph
-from .laplacian import (DEFAULT_TAU, SpatioTemporalSystem, SpectralEmbedding,
+from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
                         assemble_system, eigendecompose)
 from .operators import propagate_densities
 
@@ -140,11 +140,6 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
                             seed=seed, restarts=restarts)
 
 
-def per_view_labels(result: ClusteringResult):
-    """Label row of each view; identity across rows is meaningful."""
-    return [result.labels[t].copy() for t in range(result.M)]
-
-
 def adjusted_rand_index(a, b) -> float:
     """Chance-corrected pair-counting agreement of two labelings.
 
@@ -196,27 +191,21 @@ def score_against(labels, truth):
 
 
 def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
-                     tau=DEFAULT_TAU, self_loops=True, k_eigs=None,
-                     truth=None) -> PipelineResult:
+                     self_loops=True, truth=None) -> PipelineResult:
     """Run the full pipeline: operators, C, eigenvectors, selection, k-means.
 
-    ``k_eigs`` controls how many dominant eigenpairs are computed initially;
-    it is grown automatically until k non-temporal eigenvectors are found
-    (or the spectrum is exhausted).
+    The k + M + 3 dominant eigenpairs are computed. At most M - 1 of them
+    are temporal, so they hold k non-temporal ones unless negative
+    eigenvalues cut the list short. C has N - M + 1 non-temporal
+    eigenvectors in all, and a larger k is rejected before any solve.
     """
     ops = propagate_densities(graph, self_loops=self_loops)
     system = assemble_system(ops)
-    N = system.size
-    j = min(N, k_eigs if k_eigs is not None else k + graph.M + 3)
-    while True:
-        embedding = eigendecompose(system, j, tau=tau)
-        try:
-            selected = select_spatial(embedding, k)
-            break
-        except InsufficientSpatialEigenvectors:
-            if j >= N:
-                raise
-            j = min(N, 2 * j)
+    N, M = system.size, system.M
+    if k > N - M + 1:
+        raise InsufficientSpatialEigenvectors(N - M + 1, k)
+    embedding = eigendecompose(system, min(N, k + M + 3))
+    selected = select_spatial(embedding, k)
     result = kmeans(selected.points, k, seed=seed, restarts=restarts,
                     views=graph.M)
     ari = score_against(result.labels, truth) if truth is not None else None

@@ -14,6 +14,8 @@ def _as_csr(W, n):
     A = sparse.csr_array(W)
     if A.shape != (n, n):
         raise GraphFormatError(f"snapshot has shape {A.shape}, expected {(n, n)}")
+    if not np.isfinite(A.data).all():
+        raise GraphFormatError("non-finite edge weight")
     if A.nnz and A.data.min() < 0:
         raise GraphFormatError("negative edge weight")
     A.eliminate_zeros()

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +41,7 @@ def atomic_write_text(path, text):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -69,6 +71,16 @@ def save_graph(path, graph: TimeEvolvingGraph, labels=None):
     write_json(path, payload)
 
 
+def _edge_records(edges):
+    """Parse the ``edges`` field into (t, i, j, w) number tuples."""
+    try:
+        for t, i, j, w in edges:
+            yield int(t), int(i), int(j), float(w)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise GraphFormatError(f"edges must be a list of [t, i, j, w] number "
+                               f"records: {err}") from err
+
+
 def load_graph(path):
     """Read a graph JSON file; returns (graph, labels-or-None)."""
     with open(path) as handle:
@@ -79,20 +91,18 @@ def load_graph(path):
     try:
         n, M, directed = int(doc["n"]), int(doc["M"]), bool(doc["directed"])
         edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise GraphFormatError(f"missing or malformed header field: {err}") from err
 
     entries = [dict() for _ in range(M)]
-    for rec in edges:
-        if len(rec) != 4:
-            raise GraphFormatError(f"edge record {rec!r} must be [t, i, j, w]")
-        t, i, j, w = int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])
+    for t, i, j, w in _edge_records(edges):
         if not 1 <= t <= M:
             raise GraphFormatError(f"view {t} out of range [1, {M}]")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphFormatError(f"vertex pair ({i}, {j}) out of range [0, {n})")
-        if w <= 0:
-            raise GraphFormatError(f"edge weight must be positive, got {w}")
+        if not 0 < w < math.inf:
+            raise GraphFormatError(f"edge weight must be positive and finite, "
+                                   f"got {w}")
         keys = [(i, j)] if directed or i == j else [(i, j), (j, i)]
         for key in keys:
             old = entries[t - 1].get(key)
@@ -112,26 +122,21 @@ def load_graph(path):
 
     labels = doc.get("labels")
     if labels is not None:
-        labels = np.asarray(labels, dtype=int)
+        try:
+            labels = np.asarray(labels, dtype=int)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise GraphFormatError(f"labels must be integers: {err}") from err
         if labels.shape != (M, n):
             raise GraphFormatError(f"labels must be {(M, n)}, got {labels.shape}")
     return graph, labels
 
 
 def write_csv(path, header, rows):
-    directory = os.path.dirname(os.path.abspath(os.fspath(path)))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buffer = StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buffer.getvalue())
 
 
 def save_spectrum_csv(path, eigenvalues, tags, a=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceFailure, StglError
 from .operators import OperatorSequence
@@ -22,11 +22,24 @@ from .operators import OperatorSequence
 # a restarted Lanczos iteration is used.
 DENSE_EIG_CUTOFF = 5000
 
+# Threshold of the heuristic ``classify_folded``, used by the supra baseline,
+# whose normalized variant has no exact temporal subspace.
 DEFAULT_TAU = 0.05
 
 # Eigenvalues above this are surfaced by default; negative ones correspond to
 # negatively correlated functions and are filtered.
 NEGATIVE_EIG_CUTOFF = -1e-12
+
+# Rows of a dense matrix updated at once when a low-rank term is subtracted
+# in place, so the temporary never approaches a second N x N array.
+LOW_RANK_ROW_CHUNK = 256
+
+
+def view_weights(M):
+    """Weight of each view in B: 1 at the two end views, 2 in between."""
+    weights = np.ones(M)
+    weights[1:-1] = 2.0
+    return weights
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,24 @@ class SpatioTemporalSystem:
             raise StglError("symmetrized system is not symmetric")
         return sparse.csr_array((H + H.T) * 0.5)
 
+    def temporal_basis(self):
+        """Per-view constants in symmetric form: (Q, T) with H Q = Q T.
+
+        Column t of the N x M matrix Q is sqrt(b_t) / sqrt(w_t) on view t
+        and zero elsewhere (b_t the view-t block of B, w_t its view weight),
+        so Q is orthonormal because every density has unit sum. T = Q^T H Q
+        is tridiagonal with zero diagonal and off-diagonal entries
+        1 / sqrt(w_t w_{t+1}); its eigenvalues are cos(pi k / (M - 1)).
+        """
+        n, M = self.n, self.M
+        w = view_weights(M)
+        Q = np.zeros((self.size, M))
+        for t in range(M):
+            Q[t * n:(t + 1) * n, t] = np.sqrt(self.B_diag[t * n:(t + 1) * n] / w[t])
+        off = 1.0 / np.sqrt(w[:-1] * w[1:])
+        T = np.diag(off, 1) + np.diag(off, -1)
+        return Q, T
+
 
 @dataclass(frozen=True)
 class SpectralEmbedding:
@@ -73,7 +104,9 @@ class SpectralEmbedding:
 
     Eigenvalues are sorted descending; eigenvectors (columns of ``vectors``)
     are B-orthonormal. ``folded[i]`` reshapes eigenvector i to M x n, and
-    ``tags[i]`` is one of "constant", "temporal", "spatial".
+    ``tags[i]`` is one of "constant", "temporal", "spatial": exact, since
+    the temporal pairs are built in closed form and the spatial ones solved
+    on the complement of the per-view constants.
     """
 
     n: int
@@ -82,7 +115,6 @@ class SpectralEmbedding:
     vectors: np.ndarray = field(repr=False)
     folded: tuple = field(repr=False)
     tags: tuple
-    tau: float = DEFAULT_TAU
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -109,9 +141,7 @@ def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
         blocks_A[t + 1][t] = cross[t].T
     A = sparse.csr_array(sparse.block_array(blocks_A, format="csr"))
 
-    weights = np.ones(M)
-    weights[1:-1] = 2.0
-    B_diag = np.concatenate([w * mu for w, mu in zip(weights, mus)])
+    B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(M), mus)])
 
     inv_b = sparse.dia_array((1.0 / B_diag[None, :], [0]), shape=A.shape)
     C_cov = sparse.csr_array(inv_b @ A)
@@ -144,43 +174,62 @@ def _fix_signs(vecs):
 
 
 def _order_eigenpairs(vals, vecs, descending):
-    """Sort by eigenvalue, breaking exact ties lexicographically."""
+    """Sort by eigenvalue, breaking exact ties lexicographically.
+
+    Returns the sorted eigenpairs and the column permutation applied.
+    """
+    vecs = _fix_signs(vecs)
     order = np.argsort(-vals if descending else vals, kind="stable")
-    vals, vecs = vals[order], _fix_signs(vecs[:, order])
+    sorted_vals = vals[order]
     i = 0
-    while i < len(vals):
+    while i < len(order):
         j = i + 1
-        while j < len(vals) and vals[j] == vals[i]:
+        while j < len(order) and sorted_vals[j] == sorted_vals[i]:
             j += 1
         if j - i > 1:
-            sub = sorted(range(i, j), key=lambda c: tuple(vecs[:, c]))
-            vals[i:j] = vals[sub]
-            vecs[:, i:j] = vecs[:, sub]
+            order[i:j] = sorted(order[i:j], key=lambda c: tuple(vecs[:, c]))
         i = j
-    return vals, vecs
+    return vals[order], vecs[:, order], order
 
 
-def symmetric_eigenpairs(H, k, *, largest=True, dense_cutoff=DENSE_EIG_CUTOFF):
+def symmetric_eigenpairs(H, k, *, largest=True, dense_cutoff=DENSE_EIG_CUTOFF,
+                         low_rank=None):
     """The k extreme eigenpairs of a symmetric matrix, deterministically ordered.
 
-    Dense decomposition up to ``dense_cutoff``, restarted Lanczos beyond.
-    Largest mode returns eigenvalues descending, smallest mode ascending.
+    With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
+    matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition up
+    to ``dense_cutoff``, restarted Lanczos beyond. Largest mode returns
+    eigenvalues descending, smallest mode ascending.
     """
     N = H.shape[0]
     k = min(k, N)
+    if k == 0:
+        return np.empty(0), np.empty((N, 0))
     if N <= dense_cutoff or k >= N - 1:
-        Hd = H.toarray() if sparse.issparse(H) else np.asarray(H)
+        Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
+        if low_rank is not None:
+            Q, S = low_rank
+            QS = Q @ S
+            for lo in range(0, N, LOW_RANK_ROW_CHUNK):
+                rows = slice(lo, lo + LOW_RANK_ROW_CHUNK)
+                Hd[rows] -= QS[rows] @ Q.T
         lo, hi = (N - k, N - 1) if largest else (0, k - 1)
         vals, vecs = eigh(Hd, subset_by_index=(lo, hi))
     else:
+        op = H
+        if low_rank is not None:
+            Q, S = low_rank
+            op = LinearOperator(H.shape, dtype=float,
+                                matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
         try:
-            vals, vecs = eigsh(H, k=k, which="LA" if largest else "SA")
+            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA")
         except ArpackNoConvergence as err:
             raise ConvergenceFailure(
                 f"Lanczos iteration converged {len(err.eigenvalues)} of {k} "
                 f"eigenpairs", converged=len(err.eigenvalues), requested=k,
             ) from err
-    return _order_eigenpairs(vals, vecs, descending=largest)
+    vals, vecs, _ = _order_eigenpairs(vals, vecs, descending=largest)
+    return vals, vecs
 
 
 def fold_eigenvector(v, n, M):
@@ -207,37 +256,48 @@ def classify_folded(folded, tau=DEFAULT_TAU):
     return "spatial"
 
 
-def classify_eigenvectors(embedding: SpectralEmbedding, tau=None):
-    """Recompute the per-eigenvector tags, optionally at a different tau."""
-    tau = embedding.tau if tau is None else tau
-    return tuple(classify_folded(f, tau) for f in embedding.folded)
-
-
-def eigendecompose(system: SpatioTemporalSystem, k_request, *, tau=DEFAULT_TAU,
+def eigendecompose(system: SpatioTemporalSystem, k_request, *,
                    full_spectrum=False,
                    dense_cutoff=DENSE_EIG_CUTOFF) -> SpectralEmbedding:
     """The k_request largest eigenpairs of C, solved in symmetric form.
 
     Solves B^{-1/2} A B^{-1/2} y = lambda y and maps back v = B^{-1/2} y, so
-    eigenvalues are real and eigenvectors B-orthonormal. Unless
-    ``full_spectrum`` is set, only nonnegative eigenvalues are surfaced, so
-    fewer than k_request pairs may be returned.
+    eigenvalues are real and eigenvectors B-orthonormal. The M temporal
+    pairs are built in closed form: eigenvalue cos(pi k / (M - 1)) with the
+    value cos(pi k t / (M - 1)) on view t, k = 0 being the constant vector.
+    The spatial pairs are the largest of H - Q (T + 2I) Q^T (see
+    ``SpatioTemporalSystem.temporal_basis``), which agrees with H off the
+    span of Q and sends that span to -2, below the whole spectrum of H.
+    Unless ``full_spectrum`` is set, only nonnegative eigenvalues are
+    surfaced, so fewer than k_request pairs may be returned.
     """
-    N = system.size
+    N, M = system.size, system.M
     if not 1 <= k_request <= N:
         raise ValueError(f"k_request must be in [1, {N}], got {k_request}")
     H = system.symmetrized()
-    vals, vecs = symmetric_eigenpairs(H, k_request, largest=True,
-                                      dense_cutoff=dense_cutoff)
+    Q, T = system.temporal_basis()
+    theta = np.pi * np.arange(M) / (M - 1)
+    # column k holds the temporal eigenvector's coordinates in Q
+    coef = np.cos(np.outer(np.arange(M), theta))
+    coef *= np.sqrt(view_weights(M))[:, None]
+    coef /= np.linalg.norm(coef, axis=0)
+    spatial_vals, spatial_vecs = symmetric_eigenpairs(
+        H, min(k_request, N - M), largest=True, dense_cutoff=dense_cutoff,
+        low_rank=(Q, T + 2.0 * np.eye(M)))
+    vals, vecs, order = _order_eigenpairs(
+        np.concatenate([np.cos(theta), spatial_vals]),
+        np.hstack([Q @ coef, spatial_vecs]), descending=True)
+    vals, vecs, order = vals[:k_request], vecs[:, :k_request], order[:k_request]
     if not full_spectrum:
         keep = vals >= NEGATIVE_EIG_CUTOFF
-        vals, vecs = vals[keep], vecs[:, keep]
+        vals, vecs, order = vals[keep], vecs[:, keep], order[keep]
     vecs = vecs / np.sqrt(system.B_diag)[:, None]
     folded = tuple(fold_eigenvector(vecs[:, j], system.n, system.M)
                    for j in range(vecs.shape[1]))
-    tags = tuple(classify_folded(f, tau) for f in folded)
+    kinds = ("constant",) + ("temporal",) * (M - 1) + ("spatial",) * len(spatial_vals)
+    tags = tuple(kinds[c] for c in order)
     return SpectralEmbedding(n=system.n, M=system.M, eigenvalues=vals,
-                             vectors=vecs, folded=folded, tags=tags, tau=tau)
+                             vectors=vecs, folded=folded, tags=tags)
 
 
 def laplacian_spectrum(system: SpatioTemporalSystem) -> np.ndarray:
@@ -246,13 +306,3 @@ def laplacian_spectrum(system: SpatioTemporalSystem) -> np.ndarray:
     Hd = system.symmetrized().toarray()
     vals = np.linalg.eigvalsh(Hd)
     return np.sort(1.0 - vals)
-
-
-def coupling_graph(system: SpatioTemporalSystem) -> sparse.csr_array:
-    """Adjacency of the static coupling graph on Mn vertices.
-
-    Vertex (t, i) maps to index t*n + i. The graph is undirected (A is
-    symmetric) even when the underlying snapshots are directed, and has no
-    edges inside a view layer.
-    """
-    return sparse.csr_array(system.A)

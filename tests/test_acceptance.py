@@ -269,8 +269,8 @@ def test_c11_double_gyre(gyre_run):
            "of C-eigenvalues cannot exceed ~1.01 at any defensible noise "
            "level. The observed gap is real but lives in the Laplacian "
            "spectrum: (1 - lam3)/(1 - lam2) ~ 2.4 and the difference gap "
-           "lam2 - lam3 exceeds 15x the following gaps. See the decisions "
-           "ledger.")
+           "lam2 - lam3 exceeds 15x the following gaps. See the c11b note in "
+           "ROADMAP.md.")
 def test_c11b_double_gyre_gap_ratio(gyre_run):
     _, result, _ = gyre_run
     ev = result.embedding.eigenvalues

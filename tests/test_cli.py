@@ -99,6 +99,21 @@ class TestCluster:
         assert run(["cluster", "--input", str(bad), "--k", "2",
                     "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("directed,edges", [
+        (True, "[[1, 0, 1, NaN]]"),
+        (False, "[[1, 0, 1, Infinity]]"),
+        (False, "5"),
+        (False, "[7]"),
+        (False, '[[1, 0, 1, "x"]]'),
+    ], ids=["nan-weight", "inf-weight", "edges-not-list", "record-not-list",
+            "non-numeric-field"])
+    def test_bad_input_is_format_error(self, tmp_path, directed, edges):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"n": 2, "M": 2, "directed": {str(directed).lower()}, '
+                       f'"edges": {edges}}}')
+        assert run(["cluster", "--input", str(bad), "--k", "2",
+                    "--out", str(tmp_path)]) == 3
+
     def test_impossible_k_is_insufficient(self, linegraph_file, tmp_path):
         code = run(["cluster", "--input", str(linegraph_file), "--k", "25",
                     "--out", str(tmp_path)])

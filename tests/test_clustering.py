@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from stgl import (DegenerateInput, InsufficientSpatialEigenvectors,
-                  adjusted_rand_index, eigendecompose, kmeans, per_view_labels,
-                  score_against, select_spatial, spectral_cluster,
-                  static_blocks)
+                  adjusted_rand_index, eigendecompose, kmeans, score_against,
+                  select_spatial, spectral_cluster, static_blocks)
 from stgl.clustering import _lloyd
 from stgl.laplacian import SpectralEmbedding
 
@@ -94,16 +93,14 @@ class TestKmeans:
         pts = np.vstack([np.zeros((4, 1)), np.ones((4, 1))])
         res = kmeans(pts, 2, seed=0, restarts=2, views=2)
         assert res.labels.shape == (2, 4)
-        rows = per_view_labels(res)
-        assert len(rows) == 2
-        assert np.array_equal(rows[0], res.labels[0])
+        assert len(res.labels) == 2
+        assert np.array_equal(res.labels[1], res.labels.ravel()[4:])
 
     def test_single_view_flat(self):
         pts = np.random.default_rng(8).standard_normal((6, 2))
         res = kmeans(pts, 2, seed=0, restarts=2, views=1)
-        rows = per_view_labels(res)
-        assert len(rows) == 1
-        assert np.array_equal(rows[0], res.labels.ravel())
+        assert len(res.labels) == 1
+        assert np.array_equal(res.labels[0], res.labels.ravel())
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(ValueError):
@@ -182,8 +179,8 @@ class TestPipeline:
         assert score_against(labels, truth) == (1.0, 1.0)
 
     def test_growing_eigenvector_request(self):
-        # a request that can only be satisfied after widening the basis
+        # three clusters need two eigenvectors beyond the constant one
         graph, _ = static_blocks(n=12, blocks=3, M=3, p_in=0.9,
                                  p_out=0.05, seed=6)
-        res = spectral_cluster(graph, 3, seed=0, k_eigs=1)
+        res = spectral_cluster(graph, 3, seed=0)
         assert res.selected.points.shape[1] == 3

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -6,7 +8,7 @@ import pytest
 
 from stgl import (GraphFormatError, TimeEvolvingGraph, gen_line_graph,
                   load_graph, save_graph, static_blocks)
-from stgl.io import write_report
+from stgl.io import write_csv, write_report
 
 
 class TestTimeEvolvingGraph:
@@ -17,6 +19,12 @@ class TestTimeEvolvingGraph:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError):
             TimeEvolvingGraph.from_dense([-np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        W = np.array([[0.0, weight], [weight, 0.0]])
+        with pytest.raises(GraphFormatError):
+            TimeEvolvingGraph.from_dense([W, np.eye(2)], directed=True)
 
     def test_asymmetric_undirected_rejected(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -109,6 +117,19 @@ class TestGraphFiles:
                                     "edges": [[1, 0, 1, 2.5], [2, 0, 1, 1.0]]}))
         g, _ = load_graph(path)
         np.testing.assert_allclose(g.dense(1), [[0.0, 2.5], [2.5, 0.0]])
+
+
+class TestWriters:
+    def test_csv_bytes_and_no_temp_files(self, tmp_path):
+        rows = [[1, 0, "0.5"], [2, 1, 'a "quoted", field']]
+        write_csv(tmp_path / "t.csv", ["view", "vertex", "value"], rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["view", "vertex", "value"])
+        writer.writerows(rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
+        assert b"\r\n" in (tmp_path / "t.csv").read_bytes()
+        assert os.listdir(tmp_path) == ["t.csv"]
 
 
 class TestReports:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from stgl import (TimeEvolvingGraph, assemble_system, classify_eigenvectors,
-                  coupling_graph, eigendecompose, fold_eigenvector,
-                  laplacian_spectrum, propagate_densities, static_blocks)
+from stgl import (TimeEvolvingGraph, assemble_system, eigendecompose,
+                  fold_eigenvector, laplacian_spectrum, propagate_densities,
+                  static_blocks)
 from stgl.laplacian import classify_folded
 
 from util import build_system, random_teg, reference_symmetrized
@@ -206,6 +206,43 @@ class TestEigendecompose:
             assert np.abs(C @ v - lam * v).max() <= 1e-8 * np.abs(v).max()
 
 
+class TestTemporalDeflation:
+    def test_per_view_constants_are_invariant(self):
+        # H Q = Q T holds exactly, and T carries the closed-form temporal
+        # eigenvalues cos(pi k / (M - 1))
+        views = set()
+        for seed in range(40):
+            g = random_teg(seed, n_max=12)
+            views.add(g.M)
+            system = build_system(g)
+            H = system.symmetrized()
+            Q, T = system.temporal_basis()
+            assert np.linalg.norm(H @ Q - Q @ T) <= 1e-12
+            np.testing.assert_allclose(Q.T @ Q, np.eye(g.M), atol=1e-12)
+            expected = np.cos(np.pi * np.arange(g.M) / (g.M - 1))
+            assert np.abs(np.linalg.eigvalsh(T)[::-1] - expected).max() <= 1e-12
+            emb = eigendecompose(system, system.size, full_spectrum=True)
+            temporal = [ev for ev, tag in zip(emb.eigenvalues, emb.tags)
+                        if tag != "spatial"]
+            assert np.abs(np.array(temporal) - expected).max() <= 1e-12
+        assert views == {2, 3, 4, 5, 6}
+
+    def test_exact_tags_fold_constant_per_view(self):
+        for seed in range(10):
+            system = build_system(random_teg(seed, n_max=8))
+            emb = eigendecompose(system, system.size, full_spectrum=True)
+            assert emb.tags.count("constant") == 1
+            assert emb.tags.count("temporal") == system.M - 1
+            for folded, tag in zip(emb.folded, emb.tags):
+                spread = np.ptp(folded, axis=1).max()
+                if tag == "spatial":
+                    # B-orthogonal to every per-view constant
+                    weights = system.B_diag.reshape(system.M, system.n)
+                    assert np.abs((weights * folded).sum(axis=1)).max() <= 1e-10
+                else:
+                    assert spread <= 1e-12 * np.abs(folded).max()
+
+
 class TestLaplacianSpectrum:
     def test_values_in_range_and_symmetric_about_one(self):
         for seed in range(10):
@@ -247,12 +284,6 @@ class TestFoldAndClassify:
         folded = np.vstack([np.linspace(-1, 1, 6) for _ in range(3)])
         assert classify_folded(folded) == "spatial"
 
-    def test_classify_eigenvectors_recompute(self):
-        system = build_system(random_teg(3, n_max=6, M_max=3))
-        emb = eigendecompose(system, min(4, system.size))
-        assert classify_eigenvectors(emb) == emb.tags
-        strict = classify_eigenvectors(emb, tau=1e-12)
-        assert len(strict) == len(emb.tags)
 
 
 class TestCouplingGraph:
@@ -260,14 +291,14 @@ class TestCouplingGraph:
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = TimeEvolvingGraph.from_dense([W, W], directed=True)
         ops = propagate_densities(g)
-        A = coupling_graph(assemble_system(ops))
+        A = assemble_system(ops).A
         assert (A - A.T).count_nonzero() == 0
         # edge (v0 -> v1) at view 1 couples copy 0@1 with copy 1@2
         assert A[[0], [3]] > 0 and A[[3], [0]] > 0
 
     def test_no_intra_layer_edges(self):
         g = random_teg(4, n_max=6, M_max=4)
-        A = coupling_graph(build_system(g)).toarray()
+        A = build_system(g).A.toarray()
         n = g.n
         for t in range(g.M):
             assert np.all(A[t * n:(t + 1) * n, t * n:(t + 1) * n] == 0.0)
@@ -275,7 +306,7 @@ class TestCouplingGraph:
     def test_edge_iff_transition_support(self):
         g = random_teg(9, n_max=6, M_max=3)
         ops = propagate_densities(g)
-        A = coupling_graph(assemble_system(ops)).toarray()
+        A = assemble_system(ops).A.toarray()
         n = g.n
         for t in range(g.M - 1):
             S = ops.transition_dense(t + 1)
@@ -285,7 +316,7 @@ class TestCouplingGraph:
     def test_self_loops_couple_copies_across_views(self):
         from stgl import gen_line_graph
         g = gen_line_graph()
-        A = coupling_graph(build_system(g)).toarray()
+        A = build_system(g).A.toarray()
         n = g.n
         for t in range(g.M - 1):
             block = A[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n]

@@ -5,6 +5,7 @@ import pytest
 
 from stgl import (build_supra, gen_benchmark1, score_against,
                   spectral_cluster, supra_cluster)
+from stgl.laplacian import classify_folded
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,12 @@ class TestBenchmark1Eigenvectors:
         tags = result.embedding.tags[:10]
         assert "temporal" in tags
         assert "spatial" in tags
+
+    def test_exact_tags_match_threshold_oracle(self, bench1):
+        # the closed-form tags agree with the within-view spread heuristic
+        _, _, result = bench1
+        emb = result.embedding
+        assert emb.tags == tuple(classify_folded(f, tau=0.05) for f in emb.folded)
 
     def test_selection_skips_temporal(self, bench1):
         _, _, result = bench1
