@@ -21,7 +21,7 @@ from .clustering import score_against, spectral_cluster
 from .errors import (ConvergenceFailure, DensityVanished, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
                      UnknownGenerator, ZeroOutDegree, ZeroVariance)
-from .laplacian import DEFAULT_TAU, assemble_system, eigendecompose
+from .laplacian import assemble_system, eigendecompose
 from .operators import propagate_densities
 
 OUT_DIR_ENV = "STGL_OUT_DIR"
@@ -295,7 +295,7 @@ def build_parser():
                    default="normalized")
     p.add_argument("--keep-temporal", action="store_true",
                    help="do not filter temporal eigenvectors")
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
+    p.add_argument("--tau", type=float, default=supra_mod.DEFAULT_TAU,
                    help="temporal-classification threshold")
     _add_cluster_options(p)
     p.set_defaults(func=cmd_baseline)

@@ -139,16 +139,11 @@ def write_csv(path, header, rows):
     atomic_write_text(path, buffer.getvalue())
 
 
-def save_spectrum_csv(path, eigenvalues, tags, a=None):
-    """Columns: index (1-based), eigenvalue_C, eigenvalue_L, tag [, a]."""
-    header = ["index", "eigenvalue_C", "eigenvalue_L", "tag"]
+def save_spectrum_csv(path, eigenvalues, tags):
+    """Columns: index (1-based), eigenvalue_C, eigenvalue_L, tag."""
     rows = [[i + 1, repr(float(ev)), repr(float(1.0 - ev)), tag]
             for i, (ev, tag) in enumerate(zip(eigenvalues, tags))]
-    if a is not None:
-        header.append("a")
-        for row in rows:
-            row.append(repr(float(a)))
-    write_csv(path, header, rows)
+    write_csv(path, ["index", "eigenvalue_C", "eigenvalue_L", "tag"], rows)
 
 
 def save_eigenvectors_csv(path, embedding):

@@ -19,12 +19,12 @@ from .errors import ConvergenceFailure, StglError
 from .operators import OperatorSequence
 
 # Largest system solved by a full dense symmetric decomposition; beyond this
-# a restarted Lanczos iteration is used.
+# a restarted Lanczos iteration is used. Read at call time.
 DENSE_EIG_CUTOFF = 5000
 
-# Threshold of the heuristic ``classify_folded``, used by the supra baseline,
-# whose normalized variant has no exact temporal subspace.
-DEFAULT_TAU = 0.05
+# Seed of the Lanczos starting vector, so repeated solves agree bitwise
+# instead of depending on ARPACK's state from earlier calls.
+LANCZOS_SEED = 0
 
 # Eigenvalues above this are surfaced by default; negative ones correspond to
 # negatively correlated functions and are filtered.
@@ -46,15 +46,14 @@ def view_weights(M):
 class SpatioTemporalSystem:
     """Assembled block matrices of the coupled eigenproblem.
 
-    ``A`` is Mn x Mn sparse symmetric, ``B_diag`` the positive diagonal of B,
-    and ``C`` the row-stochastic matrix B^{-1} A stored sparse.
+    ``A`` is Mn x Mn sparse symmetric and ``B_diag`` the positive diagonal
+    of B; B, C and L are derived from them.
     """
 
     n: int
     M: int
     A: sparse.csr_array = field(repr=False)
     B_diag: np.ndarray = field(repr=False)
-    C: sparse.csr_array = field(repr=False)
 
     @property
     def size(self):
@@ -63,6 +62,12 @@ class SpatioTemporalSystem:
     @property
     def B(self):
         return sparse.dia_array((self.B_diag[None, :], [0]), shape=self.A.shape)
+
+    @property
+    def C(self):
+        """The row-stochastic matrix B^{-1} A."""
+        inv_b = sparse.dia_array((1.0 / self.B_diag[None, :], [0]), shape=self.A.shape)
+        return sparse.csr_array(inv_b @ self.A)
 
     @property
     def L(self):
@@ -75,7 +80,7 @@ class SpatioTemporalSystem:
                              shape=self.A.shape)
         H = sparse.csr_array(d @ self.A @ d)
         asym = abs(H - H.T)
-        if asym.nnz and asym.data.max() > 1e-12:
+        if asym.nnz and not asym.data.max() <= 1e-12:
             raise StglError("symmetrized system is not symmetric")
         return sparse.csr_array((H + H.T) * 0.5)
 
@@ -103,7 +108,7 @@ class SpectralEmbedding:
     """Dominant eigenpairs of C, folded into per-view slices and tagged.
 
     Eigenvalues are sorted descending; eigenvectors (columns of ``vectors``)
-    are B-orthonormal. ``folded[i]`` reshapes eigenvector i to M x n, and
+    are B-orthonormal. ``folded[i]`` is eigenvector i viewed as M x n, and
     ``tags[i]`` is one of "constant", "temporal", "spatial": exact, since
     the temporal pairs are built in closed form and the spatial ones solved
     on the complement of the per-view constants.
@@ -113,54 +118,33 @@ class SpectralEmbedding:
     M: int
     eigenvalues: np.ndarray
     vectors: np.ndarray = field(repr=False)
-    folded: tuple = field(repr=False)
     tags: tuple
 
     def __len__(self):
         return len(self.eigenvalues)
 
+    @property
+    def folded(self):
+        """Eigenvectors as a k x M x n view of ``vectors``."""
+        return self.vectors.T.reshape(len(self), self.M, self.n)
+
 
 def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
-    """Build A, B and C from the per-view operators.
-
-    C is assembled twice, once as B^{-1} A from the covariance blocks and
-    once directly from the Koopman and reweighted Perron-Frobenius blocks;
-    the two routes must agree entrywise to 1e-12.
-    """
+    """Build A and the diagonal of B from the per-view operators."""
     n, M = ops.n, ops.M
     mus = ops.densities
 
-    cross = []  # C_t(t+1) = D_{mu_t} S_t for t = 1..M-1
-    for t in range(M - 1):
-        scale = sparse.dia_array((mus[t][None, :], [0]), shape=(n, n))
-        cross.append(sparse.csr_array(scale @ ops.transitions[t]))
-
     blocks_A = [[None] * M for _ in range(M)]
     for t in range(M - 1):
-        blocks_A[t][t + 1] = cross[t]
-        blocks_A[t + 1][t] = cross[t].T
+        # C_t(t+1) = D_{mu_t} S_t
+        scale = sparse.dia_array((mus[t][None, :], [0]), shape=(n, n))
+        cross = sparse.csr_array(scale @ ops.transitions[t])
+        blocks_A[t][t + 1] = cross
+        blocks_A[t + 1][t] = cross.T
     A = sparse.csr_array(sparse.block_array(blocks_A, format="csr"))
 
     B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(M), mus)])
-
-    inv_b = sparse.dia_array((1.0 / B_diag[None, :], [0]), shape=A.shape)
-    C_cov = sparse.csr_array(inv_b @ A)
-
-    blocks_C = [[None] * M for _ in range(M)]
-    for t in range(M - 1):
-        koop = sparse.csr_array(ops.transitions[t])
-        inv_mu = sparse.dia_array((1.0 / mus[t + 1][None, :], [0]), shape=(n, n))
-        pf = sparse.csr_array(inv_mu @ ops.transitions[t].T @
-                              sparse.dia_array((mus[t][None, :], [0]), shape=(n, n)))
-        blocks_C[t][t + 1] = koop if t == 0 else koop * 0.5
-        blocks_C[t + 1][t] = pf if t == M - 2 else pf * 0.5
-    C_op = sparse.csr_array(sparse.block_array(blocks_C, format="csr"))
-
-    diff = abs(C_cov - C_op)
-    if diff.nnz and diff.data.max() > 1e-12:
-        raise StglError(f"covariance and transfer-operator routes disagree "
-                        f"by {diff.data.max():.3e}")
-    return SpatioTemporalSystem(n=n, M=M, A=A, B_diag=B_diag, C=C_op)
+    return SpatioTemporalSystem(n=n, M=M, A=A, B_diag=B_diag)
 
 
 def _fix_signs(vecs):
@@ -192,20 +176,20 @@ def _order_eigenpairs(vals, vecs, descending):
     return vals[order], vecs[:, order], order
 
 
-def symmetric_eigenpairs(H, k, *, largest=True, dense_cutoff=DENSE_EIG_CUTOFF,
-                         low_rank=None):
+def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
     """The k extreme eigenpairs of a symmetric matrix, deterministically ordered.
 
     With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
     matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition up
-    to ``dense_cutoff``, restarted Lanczos beyond. Largest mode returns
-    eigenvalues descending, smallest mode ascending.
+    to ``DENSE_EIG_CUTOFF``, restarted Lanczos from a seeded starting vector
+    beyond. Largest mode returns eigenvalues descending, smallest mode
+    ascending.
     """
     N = H.shape[0]
     k = min(k, N)
     if k == 0:
         return np.empty(0), np.empty((N, 0))
-    if N <= dense_cutoff or k >= N - 1:
+    if N <= DENSE_EIG_CUTOFF or k >= N - 1:
         Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
         if low_rank is not None:
             Q, S = low_rank
@@ -221,8 +205,9 @@ def symmetric_eigenpairs(H, k, *, largest=True, dense_cutoff=DENSE_EIG_CUTOFF,
             Q, S = low_rank
             op = LinearOperator(H.shape, dtype=float,
                                 matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
+        v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, N)
         try:
-            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA")
+            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA", v0=v0)
         except ArpackNoConvergence as err:
             raise ConvergenceFailure(
                 f"Lanczos iteration converged {len(err.eigenvalues)} of {k} "
@@ -240,25 +225,8 @@ def fold_eigenvector(v, n, M):
     return v.reshape(M, n).copy()
 
 
-def classify_folded(folded, tau=DEFAULT_TAU):
-    """Tag one folded eigenvector as constant, temporal or spatial.
-
-    Temporal means every view slice is constant (within-slice spread below
-    tau times the overall spread) while the per-view constants differ.
-    """
-    flat = folded.ravel()
-    overall = flat.std()
-    rms = np.sqrt(np.mean(flat ** 2))
-    if overall <= tau * rms:
-        return "constant"
-    if np.all(folded.std(axis=1) <= tau * overall):
-        return "temporal"
-    return "spatial"
-
-
 def eigendecompose(system: SpatioTemporalSystem, k_request, *,
-                   full_spectrum=False,
-                   dense_cutoff=DENSE_EIG_CUTOFF) -> SpectralEmbedding:
+                   full_spectrum=False) -> SpectralEmbedding:
     """The k_request largest eigenpairs of C, solved in symmetric form.
 
     Solves B^{-1/2} A B^{-1/2} y = lambda y and maps back v = B^{-1/2} y, so
@@ -282,8 +250,7 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     coef *= np.sqrt(view_weights(M))[:, None]
     coef /= np.linalg.norm(coef, axis=0)
     spatial_vals, spatial_vecs = symmetric_eigenpairs(
-        H, min(k_request, N - M), largest=True, dense_cutoff=dense_cutoff,
-        low_rank=(Q, T + 2.0 * np.eye(M)))
+        H, min(k_request, N - M), largest=True, low_rank=(Q, T + 2.0 * np.eye(M)))
     vals, vecs, order = _order_eigenpairs(
         np.concatenate([np.cos(theta), spatial_vals]),
         np.hstack([Q @ coef, spatial_vecs]), descending=True)
@@ -292,12 +259,10 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
         keep = vals >= NEGATIVE_EIG_CUTOFF
         vals, vecs, order = vals[keep], vecs[:, keep], order[keep]
     vecs = vecs / np.sqrt(system.B_diag)[:, None]
-    folded = tuple(fold_eigenvector(vecs[:, j], system.n, system.M)
-                   for j in range(vecs.shape[1]))
     kinds = ("constant",) + ("temporal",) * (M - 1) + ("spatial",) * len(spatial_vals)
     tags = tuple(kinds[c] for c in order)
     return SpectralEmbedding(n=system.n, M=system.M, eigenvalues=vals,
-                             vectors=vecs, folded=folded, tags=tags)
+                             vectors=vecs, tags=tags)
 
 
 def laplacian_spectrum(system: SpatioTemporalSystem) -> np.ndarray:

@@ -36,17 +36,18 @@ class OperatorSequence:
                            tuple(np.asarray(mu, dtype=float) for mu in self.densities))
         if len(self.densities) != len(self.transitions):
             raise ValueError("need one density per view")
+        # each check is written so that NaN fails it
         for t, S in enumerate(self.transitions, start=1):
             rows = np.asarray(S.sum(axis=1)).ravel()
-            if np.abs(rows - 1.0).max() > 1e-12:
+            if not np.abs(rows - 1.0).max() <= 1e-12:
                 raise ValueError(f"transition matrix at view {t} is not row-stochastic")
         for t, mu in enumerate(self.densities, start=1):
-            if mu.min() <= 0 or abs(mu.sum() - 1.0) > 1e-12:
+            if not (mu.min() > 0 and abs(mu.sum() - 1.0) <= 1e-12):
                 raise ValueError(f"density at view {t} is not strictly positive "
                                  "with unit sum")
         for t in range(len(self.transitions) - 1):
             drift = self.transitions[t].T @ self.densities[t] - self.densities[t + 1]
-            if np.abs(drift).max() > 1e-12:
+            if not np.abs(drift).max() <= 1e-12:
                 raise ValueError(f"density propagation identity violated at view {t + 2}")
 
     @property
@@ -133,7 +134,7 @@ def reweighted_pf_apply(S_t, mu_t, mu_next, u):
     """
     mu_t = np.asarray(mu_t, dtype=float)
     mu_next = np.asarray(mu_next, dtype=float)
-    if mu_t.min() <= 0 or mu_next.min() <= 0:
+    if not (mu_t.min() > 0 and mu_next.min() > 0):
         bad = int(np.argmin(np.minimum(mu_t, mu_next)))
         raise DensityVanished("?", bad, float(min(mu_t.min(), mu_next.min())))
     u = np.asarray(u, dtype=float)

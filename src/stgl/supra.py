@@ -26,10 +26,14 @@ from scipy import sparse
 from .clustering import ClusteringResult, kmeans
 from .errors import DirectedInput, InsufficientSpatialEigenvectors
 from .graph import TimeEvolvingGraph
-from .laplacian import (DEFAULT_TAU, classify_folded, fold_eigenvector,
-                        symmetric_eigenpairs)
+from .laplacian import fold_eigenvector, symmetric_eigenpairs
 
 VARIANTS = ("unnormalized", "normalized")
+
+# Threshold of the heuristic ``classify_folded``: the normalized variant has
+# no exact temporal subspace, so temporal eigenvectors are recognized by
+# their within-view spread.
+DEFAULT_TAU = 0.05
 
 
 @dataclass(frozen=True)
@@ -38,12 +42,11 @@ class SupraSystem:
 
     ``H`` is the symmetric matrix whose eigendecomposition solves L_S, and
     ``scale`` maps its eigenvectors back to those of L_S (identity scale
-    for the unnormalized variant).
+    for the unnormalized variant, where H is L_S itself).
     """
 
     n: int
     M: int
-    L_S: sparse.csr_array = field(repr=False)
     a: float
     laplacian_variant: str
     H: sparse.csr_array = field(repr=False)
@@ -52,6 +55,13 @@ class SupraSystem:
     @property
     def size(self):
         return self.M * self.n
+
+    @property
+    def L_S(self):
+        """The supra-Laplacian diag(scale) H diag(1 / scale)."""
+        left = sparse.dia_array((self.scale[None, :], [0]), shape=self.H.shape)
+        right = sparse.dia_array((1.0 / self.scale[None, :], [0]), shape=self.H.shape)
+        return sparse.csr_array(left @ self.H @ right)
 
 
 def symmetrize(graph: TimeEvolvingGraph) -> TimeEvolvingGraph:
@@ -87,7 +97,6 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized", *,
                          f"expected one of {VARIANTS}")
     n, M = graph.n, graph.M
     N = M * n
-    ones = np.ones(N)
 
     if variant == "unnormalized":
         # self-loops cancel in D - W, so the raw snapshots are used as-is
@@ -97,8 +106,8 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized", *,
             blocks.append(sparse.csr_array(
                 sparse.dia_array((degrees[None, :], [0]), shape=W.shape) - W))
         L = sparse.csr_array(sparse.block_diag(blocks, format="csr") + _interlayer(M, n, a))
-        return SupraSystem(n=n, M=M, L_S=L, a=float(a), laplacian_variant=variant,
-                           H=L, scale=ones)
+        return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
+                           H=L, scale=np.ones(N))
 
     g = graph.with_self_loops() if self_loops else graph
     W_sup = sparse.csr_array(sparse.block_diag(g.snapshots, format="csr"))
@@ -111,24 +120,35 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized", *,
     if degrees.min() <= 0:
         raise ValueError("normalized variant needs positive degrees; "
                          "enable self-loops or regularize the graph")
-    inv = sparse.dia_array((1.0 / degrees[None, :], [0]), shape=W_sup.shape)
     eye = sparse.identity(N, format="csr")
-    L_rw = sparse.csr_array(eye - inv @ W_sup)
     inv_sqrt = sparse.dia_array(((1.0 / np.sqrt(degrees))[None, :], [0]),
                                 shape=W_sup.shape)
     H = sparse.csr_array(eye - inv_sqrt @ W_sup @ inv_sqrt)
     H = sparse.csr_array((H + H.T) * 0.5)
-    return SupraSystem(n=n, M=M, L_S=L_rw, a=float(a), laplacian_variant=variant,
+    return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
                        H=H, scale=1.0 / np.sqrt(degrees))
 
 
+def classify_folded(folded, tau=DEFAULT_TAU):
+    """Tag one folded eigenvector as constant, temporal or spatial.
+
+    Temporal means every view slice is constant (within-slice spread below
+    tau times the overall spread) while the per-view constants differ.
+    """
+    flat = folded.ravel()
+    overall = flat.std()
+    rms = np.sqrt(np.mean(flat ** 2))
+    if overall <= tau * rms:
+        return "constant"
+    if np.all(folded.std(axis=1) <= tau * overall):
+        return "temporal"
+    return "spatial"
+
+
 def supra_spectrum(system: SupraSystem, j):
-    """The j smallest eigenpairs of L_S, ascending, with per-view tags."""
+    """The j smallest eigenpairs of L_S, eigenvalues ascending."""
     vals, vecs = symmetric_eigenpairs(system.H, j, largest=False)
-    vecs = vecs * system.scale[:, None]
-    tags = tuple(classify_folded(fold_eigenvector(vecs[:, c], system.n, system.M))
-                 for c in range(vecs.shape[1]))
-    return vals, vecs, tags
+    return vals, vecs * system.scale[:, None]
 
 
 def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
@@ -145,7 +165,7 @@ def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
     N = system.size
     j = min(N, k + system.M + 3)
     while True:
-        vals, vecs, _ = supra_spectrum(system, j)
+        _, vecs = supra_spectrum(system, j)
         if filter_temporal:
             tags = [classify_folded(fold_eigenvector(vecs[:, c], system.n, system.M), tau)
                     for c in range(vecs.shape[1])]

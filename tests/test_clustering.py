@@ -12,9 +12,8 @@ from util import ari_pair_oracle
 
 def make_embedding(vectors, tags, n, M):
     vals = np.linspace(1.0, 0.5, vectors.shape[1])
-    folded = tuple(vectors[:, j].reshape(M, n) for j in range(vectors.shape[1]))
     return SpectralEmbedding(n=n, M=M, eigenvalues=vals, vectors=vectors,
-                             folded=folded, tags=tuple(tags))
+                             tags=tuple(tags))
 
 
 class TestSelectSpatial:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from stgl import (TimeEvolvingGraph, assemble_system, eigendecompose,
-                  fold_eigenvector, laplacian_spectrum, propagate_densities,
-                  static_blocks)
-from stgl.laplacian import classify_folded
+                  fold_eigenvector, laplacian, laplacian_spectrum,
+                  propagate_densities, static_blocks)
+from stgl.supra import classify_folded
 
-from util import build_system, random_teg, reference_symmetrized
+from util import (build_system, random_teg, reference_symmetrized,
+                  transfer_operator_C)
 
 
 class TestAssembly:
@@ -70,15 +72,14 @@ class TestAssembly:
                     assert np.all(block == 0.0)
 
     def test_dual_route_agreement(self):
-        # covariance route, assembled independently here
+        # the library's covariance route B^-1 A against the Koopman and
+        # reweighted Perron-Frobenius route assembled in tests/util.py
         for seed in range(10):
             g = random_teg(seed, n_max=10, M_max=4)
             ops = propagate_densities(g)
             system = assemble_system(ops)
-            inv_b = sparse.dia_array((1.0 / system.B_diag[None, :], [0]),
-                                     shape=system.A.shape)
-            C_cov = (inv_b @ system.A).toarray()
-            diff = np.abs(C_cov - system.C.toarray())
+            C_op = transfer_operator_C(ops).toarray()
+            diff = np.abs(system.C.toarray() - C_op)
             assert diff.max() <= 1e-12
 
 
@@ -191,19 +192,32 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(system, system.size + 1)
 
-    def test_iterative_path_matches_dense(self):
+    def test_iterative_path_matches_dense(self, monkeypatch):
         # force the Lanczos branch with a tiny dense cutoff
         g = random_teg(21, n_max=20, M_max=4)
         system = build_system(g)
         k = min(4, system.size - 2)
         dense = eigendecompose(system, k)
-        sparse_path = eigendecompose(system, k, dense_cutoff=1)
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        sparse_path = eigendecompose(system, k)
         np.testing.assert_allclose(sparse_path.eigenvalues,
                                    dense.eigenvalues, atol=1e-8)
         C = system.C
         for j, lam in enumerate(sparse_path.eigenvalues):
             v = sparse_path.vectors[:, j]
             assert np.abs(C @ v - lam * v).max() <= 1e-8 * np.abs(v).max()
+
+    def test_iterative_path_is_deterministic(self, monkeypatch):
+        # an unrelated Lanczos solve in between must not change the result
+        g, _ = static_blocks(n=100, blocks=4, M=5, seed=0)
+        system = build_system(g)
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        first = eigendecompose(system, 10)
+        other = sparse.random(60, 60, density=0.2, random_state=1)
+        eigsh(other + other.T, k=3)
+        second = eigendecompose(system, 10)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.vectors, second.vectors)
 
 
 class TestTemporalDeflation:

@@ -155,6 +155,11 @@ class TestReweightedPF:
             reweighted_pf_apply(S, np.array([1.0, 0.0]), np.array([0.5, 0.5]),
                                 np.ones(2))
 
+    def test_nan_density_raises(self):
+        with pytest.raises(DensityVanished):
+            reweighted_pf_apply(np.eye(2), np.array([0.5, 0.5]),
+                                np.array([np.nan, 0.5]), np.ones(2))
+
 
 class TestCorrelation:
     def test_self_correlation_is_one(self):
@@ -204,3 +209,12 @@ class TestOperatorSequenceValidation:
             OperatorSequence(transitions=(S, S),
                              densities=(np.array([0.25, 0.75]),
                                         np.array([0.25, 0.75])))
+
+    @pytest.mark.parametrize("S, mu", [
+        (np.array([[np.nan, 1.0], [0.5, 0.5]]), np.array([0.5, 0.5])),
+        (np.eye(2), np.array([np.nan, 0.5])),
+        (np.eye(2), np.full(2, np.nan)),
+    ], ids=["nan-transition", "nan-density", "all-nan-density"])
+    def test_rejects_nan(self, S, mu):
+        with pytest.raises(ValueError):
+            OperatorSequence(transitions=(S,), densities=(mu,))

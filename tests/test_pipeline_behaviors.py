@@ -5,7 +5,7 @@ import pytest
 
 from stgl import (build_supra, gen_benchmark1, score_against,
                   spectral_cluster, supra_cluster)
-from stgl.laplacian import classify_folded
+from stgl.supra import classify_folded
 
 
 @pytest.fixture(scope="module")

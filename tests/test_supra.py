@@ -5,7 +5,7 @@ from scipy.linalg import eigvalsh
 from stgl import (DirectedInput, TimeEvolvingGraph, build_supra, static_blocks,
                   supra_cluster, symmetrize)
 
-from util import random_teg
+from util import random_teg, reference_random_walk_laplacian
 
 
 def undirected_teg(seed, **kwargs):
@@ -81,11 +81,14 @@ class TestBuildSupra:
         for seed in range(5):
             g = undirected_teg(seed, n_max=8, M_max=4)
             system = build_supra(g, 0.4, "normalized")
-            vals = np.linalg.eigvals(system.L_S.toarray())
+            L_rw = reference_random_walk_laplacian(g, 0.4)
+            vals = np.linalg.eigvals(L_rw)
             assert np.abs(vals.imag).max() <= 1e-8
             # the similarity-transformed solve matches the actual matrix
             H_vals = np.sort(eigvalsh(system.H.toarray()))
             np.testing.assert_allclose(np.sort(vals.real), H_vals, atol=1e-8)
+            # and scaling H back gives that matrix
+            assert np.abs(system.L_S.toarray() - L_rw).max() <= 1e-12
 
     def test_zero_coupling_decouples(self):
         g = undirected_teg(7, n_max=6, M_max=4)

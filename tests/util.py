@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from scipy import sparse
 
 from stgl import TimeEvolvingGraph, assemble_system, propagate_densities
 
@@ -67,3 +68,42 @@ def reference_symmetrized(graph):
                         for t in range(M)])
     d = 1.0 / np.sqrt(b)
     return d[:, None] * A * d[None, :], b
+
+
+def transfer_operator_C(ops):
+    """C assembled from the Koopman and reweighted Perron-Frobenius blocks.
+
+    The second route to C = B^{-1} A: block (t, t+1) is the Koopman matrix
+    S_t and block (t+1, t) the reweighted Perron-Frobenius matrix
+    D_{mu_{t+1}}^{-1} S_t^T D_{mu_t}, each halved when its row view is
+    interior. Never touches the library's A or B.
+    """
+    n, M = ops.n, ops.M
+    mus = ops.densities
+    blocks = [[None] * M for _ in range(M)]
+    for t in range(M - 1):
+        koop = sparse.csr_array(ops.transitions[t])
+        inv_mu = sparse.dia_array((1.0 / mus[t + 1][None, :], [0]), shape=(n, n))
+        mu = sparse.dia_array((mus[t][None, :], [0]), shape=(n, n))
+        pf = sparse.csr_array(inv_mu @ ops.transitions[t].T @ mu)
+        blocks[t][t + 1] = koop if t == 0 else koop * 0.5
+        blocks[t + 1][t] = pf if t == M - 2 else pf * 0.5
+    return sparse.csr_array(sparse.block_array(blocks, format="csr"))
+
+
+def reference_random_walk_laplacian(graph, a, self_loops=True):
+    """Dense I - D^{-1} W of the layered graph coupled with strength a.
+
+    W stacks the (optionally self-looped) snapshots on the diagonal and
+    links each vertex to its copies at adjacent views with weight a.
+    """
+    g = graph.with_self_loops() if self_loops else graph
+    n, M = g.n, g.M
+    W = np.zeros((M * n, M * n))
+    for t in range(M):
+        W[t * n:(t + 1) * n, t * n:(t + 1) * n] = g.dense(t + 1)
+    for t in range(M - 1):
+        idx = np.arange(n)
+        W[t * n + idx, (t + 1) * n + idx] = a
+        W[(t + 1) * n + idx, t * n + idx] = a
+    return np.eye(M * n) - W / W.sum(axis=1)[:, None]
