@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientSpatialEigenvectors
+from .errors import DegenerateInput, InsufficientSpatialEigenvectors, StglError
 from .graph import TimeEvolvingGraph
 from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
                         assemble_system, eigendecompose)
@@ -108,7 +108,7 @@ def _lloyd(points, k, rng, max_iter=300):
                 repair_d2[far] = -np.inf
         new_labels, new_inertia = _assign(points, centroids)
         if new_inertia > inertia + 1e-9 * max(1.0, inertia):
-            raise AssertionError("k-means objective increased")
+            raise StglError("k-means objective increased")
         history.append(new_inertia)
         if np.array_equal(new_labels, labels):
             return new_labels, new_inertia, history

@@ -19,8 +19,10 @@ from .errors import ConvergenceFailure, StglError
 from .operators import OperatorSequence
 
 # Largest system solved by a full dense symmetric decomposition; beyond this
-# a restarted Lanczos iteration is used. Read at call time.
-DENSE_EIG_CUTOFF = 5000
+# a restarted Lanczos iteration is used. Read at call time. The two solvers
+# cross over near N = 700 on ``static_blocks`` systems (one BLAS thread on a
+# 2-vCPU Xeon).
+DENSE_EIG_CUTOFF = 700
 
 # Seed of the Lanczos starting vector, so repeated solves agree bitwise
 # instead of depending on ARPACK's state from earlier calls.
@@ -181,15 +183,16 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
 
     With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
     matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition up
-    to ``DENSE_EIG_CUTOFF``, restarted Lanczos from a seeded starting vector
-    beyond. Largest mode returns eigenvalues descending, smallest mode
-    ascending.
+    to ``DENSE_EIG_CUTOFF`` and wherever a Krylov basis of 3k vectors would
+    span the whole space (3k >= N); otherwise restarted Lanczos from a
+    seeded starting vector with a basis of max(3k, 20) vectors. Largest mode
+    returns eigenvalues descending, smallest mode ascending.
     """
     N = H.shape[0]
     k = min(k, N)
     if k == 0:
         return np.empty(0), np.empty((N, 0))
-    if N <= DENSE_EIG_CUTOFF or k >= N - 1:
+    if N <= DENSE_EIG_CUTOFF or 3 * k >= N:
         Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
         if low_rank is not None:
             Q, S = low_rank
@@ -207,7 +210,9 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
                                 matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
         v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, N)
         try:
-            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA", v0=v0)
+            # ARPACK's default basis of 2k + 1 restarts too often here
+            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA", v0=v0,
+                               ncv=min(N, max(3 * k, 20)))
         except ArpackNoConvergence as err:
             raise ConvergenceFailure(
                 f"Lanczos iteration converged {len(err.eigenvalues)} of {k} "

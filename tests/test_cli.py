@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from stgl import clustering, laplacian
 from stgl.cli import main
+
+from util import arpack_two_converged
 
 
 def run(argv):
@@ -118,6 +121,26 @@ class TestCluster:
         code = run(["cluster", "--input", str(linegraph_file), "--k", "25",
                     "--out", str(tmp_path)])
         assert code == 5
+
+    def test_lanczos_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        monkeypatch.setattr(laplacian, "eigsh", arpack_two_converged)
+        code = run(["cluster", "--generator", "planted", "--k", "2",
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "converged 2 of" in err and "Traceback" not in err
+
+    def test_kmeans_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        growing = iter(range(1, 10**6))
+        real = clustering._assign
+        monkeypatch.setattr(clustering, "_assign", lambda points, centroids: (
+            real(points, centroids)[0], float(next(growing))))
+        code = run(["cluster", "--generator", "planted", "--k", "2",
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "objective increased" in err and "Traceback" not in err
 
     def test_export_vectors(self, linegraph_file, tmp_path):
         out = tmp_path / "vec"

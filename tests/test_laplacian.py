@@ -3,13 +3,29 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from stgl import (TimeEvolvingGraph, assemble_system, eigendecompose,
-                  fold_eigenvector, laplacian, laplacian_spectrum,
-                  propagate_densities, static_blocks)
+from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
+                  assemble_system, eigendecompose, fold_eigenvector, laplacian,
+                  laplacian_spectrum, propagate_densities, spectral_cluster,
+                  static_blocks)
+from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
-from util import (build_system, random_teg, reference_symmetrized,
-                  transfer_operator_C)
+from util import (arpack_two_converged, build_system, random_teg,
+                  reference_symmetrized, transfer_operator_C)
+
+
+@pytest.fixture()
+def lanczos_calls(monkeypatch):
+    """Records the size of every system handed to the Lanczos solver."""
+    calls = []
+    real = laplacian.eigsh
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(laplacian, "eigsh", spy)
+    return calls
 
 
 class TestAssembly:
@@ -192,14 +208,16 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(system, system.size + 1)
 
-    def test_iterative_path_matches_dense(self, monkeypatch):
+    def test_iterative_path_matches_dense(self, monkeypatch, lanczos_calls):
         # force the Lanczos branch with a tiny dense cutoff
         g = random_teg(21, n_max=20, M_max=4)
         system = build_system(g)
         k = min(4, system.size - 2)
         dense = eigendecompose(system, k)
+        assert lanczos_calls == []
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
         sparse_path = eigendecompose(system, k)
+        assert lanczos_calls == [system.size]
         np.testing.assert_allclose(sparse_path.eigenvalues,
                                    dense.eigenvalues, atol=1e-8)
         C = system.C
@@ -207,7 +225,7 @@ class TestEigendecompose:
             v = sparse_path.vectors[:, j]
             assert np.abs(C @ v - lam * v).max() <= 1e-8 * np.abs(v).max()
 
-    def test_iterative_path_is_deterministic(self, monkeypatch):
+    def test_iterative_path_is_deterministic(self, monkeypatch, lanczos_calls):
         # an unrelated Lanczos solve in between must not change the result
         g, _ = static_blocks(n=100, blocks=4, M=5, seed=0)
         system = build_system(g)
@@ -216,8 +234,46 @@ class TestEigendecompose:
         other = sparse.random(60, 60, density=0.2, random_state=1)
         eigsh(other + other.T, k=3)
         second = eigendecompose(system, 10)
+        assert lanczos_calls == [system.size, system.size]
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.vectors, second.vectors)
+
+    def test_krylov_basis_covering_the_space_is_dense(self, monkeypatch,
+                                                      lanczos_calls):
+        # with 3k >= N a 3k-vector Krylov basis would span the whole space
+        system = build_system(random_teg(21, n_max=20, M_max=4))
+        H, N = system.symmetrized(), system.size
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        symmetric_eigenpairs(H, -(-N // 3))
+        assert lanczos_calls == []
+        symmetric_eigenpairs(H, -(-N // 3) - 1)
+        assert lanczos_calls == [N]
+
+    def test_lanczos_above_cutoff_matches_dense(self, monkeypatch, lanczos_calls):
+        # a system above the default cutoff takes the Lanczos branch and
+        # reproduces the dense eigenvalues, tags and partition
+        g, truth = static_blocks(n=200, blocks=4, M=5, seed=0)
+        lanczos = spectral_cluster(g, 4, truth=truth)
+        N = lanczos.system.size
+        assert laplacian.DENSE_EIG_CUTOFF < N
+        assert lanczos_calls == [N]
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 10 * N)
+        dense = spectral_cluster(g, 4, truth=truth)
+        assert lanczos_calls == [N]
+        np.testing.assert_allclose(lanczos.embedding.eigenvalues,
+                                   dense.embedding.eigenvalues, rtol=0, atol=1e-12)
+        assert lanczos.embedding.tags == dense.embedding.tags
+        assert adjusted_rand_index(lanczos.clustering.labels,
+                                   dense.clustering.labels) == 1.0
+
+    def test_lanczos_failure_reports_converged_pairs(self, monkeypatch):
+        monkeypatch.setattr(laplacian, "eigsh", arpack_two_converged)
+        system = build_system(static_blocks(n=100, blocks=4, M=5, seed=0)[0])
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        with pytest.raises(ConvergenceFailure) as err:
+            symmetric_eigenpairs(system.symmetrized(), 7)
+        assert err.value.converged == 2
+        assert err.value.requested == 7
 
 
 class TestTemporalDeflation:

@@ -42,6 +42,10 @@ def test_tracer_hooks_record_spans_and_uninstall(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"laplacian.symmetrize", "laplacian.eigensolve",
             "supra.spectrum"} <= names
+    # the solver counters wrap `laplacian.eigh` and `laplacian.eigsh` by name
+    for job in ("cluster", "baseline"):
+        counts = tracer.counts[job]
+        assert counts["laplacian.dense_solves"] + counts["laplacian.lanczos_solves"] >= 1
     for owner, saved in zip(PATCHED, before):
         after = vars(owner)
         assert all(after[key] is value for key, value in saved.items())
