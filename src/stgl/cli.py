@@ -155,7 +155,7 @@ def cmd_baseline(args):
     for a in a_grid:
         system = supra_mod.build_supra(graph, a, args.laplacian_variant)
         result = supra_mod.supra_cluster(system, args.k, seed=args.seed,
-                                         restarts=args.restarts, tau=args.tau,
+                                         restarts=args.restarts,
                                          filter_temporal=not args.keep_temporal)
         entry = {"a": a, "inertia": result.inertia}
         if labels is not None:
@@ -171,7 +171,7 @@ def cmd_baseline(args):
         results["best_a"] = best["a"]
     config = {"command": "baseline", "k": args.k, "a_grid": a_grid,
               "laplacian_variant": args.laplacian_variant, "seed": args.seed,
-              "restarts": args.restarts, "tau": args.tau,
+              "restarts": args.restarts,
               "keep_temporal": args.keep_temporal, **source}
     io.write_report(os.path.join(out, "baseline_report.json"), config, results,
                     timings)
@@ -295,8 +295,6 @@ def build_parser():
                    default="normalized")
     p.add_argument("--keep-temporal", action="store_true",
                    help="do not filter temporal eigenvectors")
-    p.add_argument("--tau", type=float, default=supra_mod.DEFAULT_TAU,
-                   help="temporal-classification threshold")
     _add_cluster_options(p)
     p.set_defaults(func=cmd_baseline)
 

@@ -51,7 +51,7 @@ class ClusteringResult:
 
 
 def select_spatial(embedding: SpectralEmbedding, k) -> Embedding:
-    """The first k non-temporal eigenvectors, in descending eigenvalue order.
+    """The first k non-temporal eigenvectors, in the embedding's order.
 
     The constant first eigenvector is retained by convention; temporal
     eigenvectors (constant within each view) are filtered out.
@@ -124,6 +124,8 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     Labels are returned folded to (views, len(points) / views).
     """
     points = np.asarray(points, dtype=float)
+    if restarts < 1:
+        raise ValueError(f"need at least one k-means restart, got {restarts}")
     if k < 1 or len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     best = None

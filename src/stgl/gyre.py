@@ -106,17 +106,22 @@ def _rk4_step(x, y, t, h, field):
 
 
 def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
-                  max_excursion=0.05):
+                  max_excursion=0.05, noise=0.0, rng=None):
     """Classical 4th-order integration of particle positions from t0 to t1.
 
-    ``state`` is (..., 2); h must divide t1 - t0 up to rounding. Positions
-    are reflected at the domain walls (the exact field is wall-tangent, so
-    reflections only correct integrator drift). A step that overshoots the
-    domain by more than ``max_excursion`` (one box width) raises
-    StepTooLarge.
+    ``state`` is (..., 2); h must divide t1 - t0 up to rounding. With
+    ``noise``, every step adds a Brownian kick of standard deviation
+    noise * sqrt(h), drawn from ``rng`` (x normals, then y normals).
+    Positions are reflected at the domain walls (the exact field is
+    wall-tangent, so reflections only correct integrator drift and kicks).
+    A step that overshoots the domain by more than ``max_excursion`` (one
+    box width) raises StepTooLarge; the check comes before the kick, which
+    may legitimately cross a wall by a few standard deviations.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    if noise and rng is None:
+        raise ValueError("a noisy integration needs a random generator")
     steps = int(round((t1 - t0) / h))
     if steps < 1 or abs(t0 + steps * h - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError(f"step {h} does not divide interval [{t0}, {t1}]")
@@ -124,6 +129,7 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
         field = lambda x, y, t: velocity(x, y, t, params)
     state = np.array(state, dtype=float)
     x, y = state[..., 0].copy(), state[..., 1].copy()
+    kick = noise * np.sqrt(h)
     t = t0
     for _ in range(steps):
         x, y = _rk4_step(x, y, t, h, field)
@@ -131,6 +137,9 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
                 or y.min() < -max_excursion or y.max() > 1.0 + max_excursion):
             raise StepTooLarge(f"particle left the domain by more than "
                                f"{max_excursion} at t={t + h:.4f}")
+        if noise:
+            x = x + kick * rng.standard_normal(x.shape)
+            y = y + kick * rng.standard_normal(y.shape)
         x, y = _reflect(x, y)
         t += h
     out = np.empty(state.shape)
@@ -168,24 +177,10 @@ def ulam_counts(grid: UlamGrid, params: GyreParams, t, seed, field=None,
     the flow exact.
     """
     pts = seed_particles(grid, t, seed)
-    flat = pts.reshape(-1, 2)
-    if noise:
-        field = field or (lambda x, y, tt: velocity(x, y, tt, params))
-        x, y = flat[:, 0].copy(), flat[:, 1].copy()
-        h = grid.step
-        rng = np.random.default_rng((seed, int(t), grid.n_boxes))
-        kick = noise * np.sqrt(h)
-        tt = float(t)
-        for _ in range(int(round(1.0 / h))):
-            x, y = _rk4_step(x, y, tt, h, field)
-            x = x + kick * rng.standard_normal(x.shape)
-            y = y + kick * rng.standard_normal(y.shape)
-            x, y = _reflect(x, y)
-            tt += h
-        end = grid.box_index(x, y)
-    else:
-        moved = integrate_rk4(flat, t, t + 1.0, grid.step, params, field=field)
-        end = grid.box_index(moved[:, 0], moved[:, 1])
+    rng = np.random.default_rng((seed, int(t), grid.n_boxes))
+    moved = integrate_rk4(pts.reshape(-1, 2), t, t + 1.0, grid.step, params,
+                          field=field, noise=noise, rng=rng)
+    end = grid.box_index(moved[:, 0], moved[:, 1])
     start = np.repeat(np.arange(grid.n_boxes), grid.particles_per_box)
     counts = np.zeros((grid.n_boxes, grid.n_boxes), dtype=np.int64)
     np.add.at(counts, (start, end), 1)

@@ -18,15 +18,16 @@ eigenproblem is solved in that symmetric form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .clustering import ClusteringResult, kmeans
-from .errors import DirectedInput, InsufficientSpatialEigenvectors
+from .clustering import ClusteringResult, kmeans, select_spatial
+from .errors import DirectedInput
 from .graph import TimeEvolvingGraph
-from .laplacian import fold_eigenvector, symmetric_eigenpairs
+from .laplacian import SpectralEmbedding, symmetric_eigenpairs
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -70,60 +71,49 @@ def symmetrize(graph: TimeEvolvingGraph) -> TimeEvolvingGraph:
     return TimeEvolvingGraph(n=graph.n, M=graph.M, snapshots=snaps, directed=False)
 
 
-def _interlayer(M, n, a):
-    """Path-graph Laplacian over the views, lifted to Mn vertices."""
-    path = sparse.diags_array([-np.ones(M - 1), np.ones(M), -np.ones(M - 1)],
-                              offsets=[-1, 0, 1], format="lil")
-    deg = np.ones(M) * 2.0
-    deg[[0, -1]] = 1.0
-    path.setdiag(deg)
-    return a * sparse.kron(sparse.csr_array(path), sparse.identity(n, format="csr"))
-
-
-def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized", *,
-                self_loops=True) -> SupraSystem:
+def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSystem:
     """Assemble the supra-Laplacian with constant coupling strength a.
 
-    Directed input is rejected: the resulting matrix would have complex
-    eigenvalues in general, so callers must ``symmetrize`` first.
+    Both variants start from the layered-graph adjacency
+    W = blockdiag(W_t) + a (P kron I), P the path adjacency over the views.
+    "unnormalized" takes H = diag(W 1) - W on the raw snapshots (self-loops
+    cancel there); "normalized" takes H = I - D^{-1/2} W D^{-1/2} on the
+    self-looped snapshots, so every degree is at least 1. Directed input is
+    rejected: the resulting matrix would have complex eigenvalues in general,
+    so callers must ``symmetrize`` first.
     """
     if graph.directed:
         raise DirectedInput("supra-Laplacian needs an undirected graph; "
                             "apply symmetrize() first")
-    if a < 0:
-        raise ValueError("coupling strength must be nonnegative")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"coupling strength must be finite and nonnegative, got {a}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown Laplacian variant {variant!r}; "
                          f"expected one of {VARIANTS}")
     n, M = graph.n, graph.M
     N = M * n
+    g = graph.with_self_loops() if variant == "normalized" else graph
+    path = sparse.diags_array([np.ones(M - 1), np.ones(M - 1)], offsets=[-1, 1],
+                              format="csr")
+    blocks = sparse.block_diag(g.snapshots, format="csr")
+    coupling = sparse.kron(path, sparse.identity(n, format="csr"))
+    W = sparse.csr_array(blocks + a * coupling)
 
     if variant == "unnormalized":
-        # self-loops cancel in D - W, so the raw snapshots are used as-is
-        blocks = []
-        for W in graph.snapshots:
-            degrees = np.asarray(W.sum(axis=1)).ravel()
-            blocks.append(sparse.csr_array(
-                sparse.dia_array((degrees[None, :], [0]), shape=W.shape) - W))
-        L = sparse.csr_array(sparse.block_diag(blocks, format="csr") + _interlayer(M, n, a))
+        # diag(W 1) as snapshot degree plus coupling degree, which rounds
+        # exactly like the per-view D_t - W_t plus the lifted path Laplacian
+        degrees = (np.asarray(blocks.sum(axis=1)).ravel()
+                   + a * np.asarray(coupling.sum(axis=1)).ravel())
+        H = sparse.csr_array(sparse.dia_array((degrees[None, :], [0]), shape=W.shape) - W)
         return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
-                           H=L, scale=np.ones(N))
+                           H=H, scale=np.ones(N))
 
-    g = graph.with_self_loops() if self_loops else graph
-    W_sup = sparse.csr_array(sparse.block_diag(g.snapshots, format="csr"))
-    if a > 0:
-        adj = sparse.diags_array([np.ones(M - 1), np.ones(M - 1)],
-                                 offsets=[-1, 1], format="csr")
-        W_sup = sparse.csr_array(
-            W_sup + a * sparse.kron(adj, sparse.identity(n, format="csr")))
-    degrees = np.asarray(W_sup.sum(axis=1)).ravel()
-    if degrees.min() <= 0:
-        raise ValueError("normalized variant needs positive degrees; "
-                         "enable self-loops or regularize the graph")
+    del blocks  # only W is read below; the copy would raise the peak memory
+    degrees = np.asarray(W.sum(axis=1)).ravel()
     eye = sparse.identity(N, format="csr")
     inv_sqrt = sparse.dia_array(((1.0 / np.sqrt(degrees))[None, :], [0]),
-                                shape=W_sup.shape)
-    H = sparse.csr_array(eye - inv_sqrt @ W_sup @ inv_sqrt)
+                                shape=W.shape)
+    H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
     H = sparse.csr_array((H + H.T) * 0.5)
     return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
                        H=H, scale=1.0 / np.sqrt(degrees))
@@ -152,31 +142,35 @@ def supra_spectrum(system: SupraSystem, j):
 
 
 def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
-                  tau=DEFAULT_TAU, filter_temporal=True) -> ClusteringResult:
+                  filter_temporal=True) -> ClusteringResult:
     """Spectral clustering with the supra-Laplacian.
 
     Embeds each (view, vertex) pair with the eigenvectors of the k smallest
     eigenvalues, optionally skipping temporal ones (constant within each
-    view), and clusters all rows jointly with k-means. With very large a
-    the labels aggregate each vertex across time; with very small a whole
-    views are grouped together (run with ``filter_temporal=False`` to see
-    that regime).
+    view, tagged by ``classify_folded``), and clusters all rows jointly with
+    k-means. With very large a the labels aggregate each vertex across time;
+    with very small a whole views are grouped together (run with
+    ``filter_temporal=False`` to see that regime).
+
+    One solve for j = min(N, k + M + 3) pairs suffices. A vector tagged
+    temporal lies within relative distance tau of the M-dimensional span of
+    per-view constants, and M + 1 orthonormal vectors that close to an
+    M-dimensional span need (M + 1) tau^2 >= 1. So at most M of the j
+    vectors are temporal, leaving k + 3 others, as long as
+    (M + 1) tau^2 < 1 (M < 399 at tau = 0.05). The normalized variant's
+    eigenvectors are D-orthonormal, and its condition gains a factor
+    d_max / d_min: (M + 1) tau^2 d_max / d_min < 1. Beyond that bound, or
+    when j = N holds fewer than k non-temporal vectors, the selection
+    raises InsufficientSpatialEigenvectors, as ``spectral_cluster`` does.
     """
-    N = system.size
-    j = min(N, k + system.M + 3)
-    while True:
-        _, vecs = supra_spectrum(system, j)
-        if filter_temporal:
-            tags = [classify_folded(fold_eigenvector(vecs[:, c], system.n, system.M), tau)
-                    for c in range(vecs.shape[1])]
-            keep = [c for c, tag in enumerate(tags) if tag != "temporal"]
-        else:
-            keep = list(range(vecs.shape[1]))
-        if len(keep) >= k:
-            keep = keep[:k]
-            break
-        if j >= N:
-            raise InsufficientSpatialEigenvectors(len(keep), k)
-        j = min(N, 2 * j)
-    points = vecs[:, keep]
-    return kmeans(points, k, seed=seed, restarts=restarts, views=system.M)
+    n, M = system.n, system.M
+    vals, vecs = supra_spectrum(system, min(system.size, k + M + 3))
+    if filter_temporal:
+        tags = tuple(classify_folded(f) for f in vecs.T.reshape(-1, M, n))
+    else:
+        # unfiltered: every vector is eligible
+        tags = ("spatial",) * len(vals)
+    embedding = SpectralEmbedding(n=n, M=M, eigenvalues=vals, vectors=vecs,
+                                  tags=tags)
+    points = select_spatial(embedding, k).points
+    return kmeans(points, k, seed=seed, restarts=restarts, views=M)

@@ -142,6 +142,12 @@ class TestCluster:
         assert code == 4
         assert "objective increased" in err and "Traceback" not in err
 
+    def test_zero_restarts_is_config_error(self, tmp_path, capsys):
+        code = run(["cluster", "--generator", "planted", "--k", "2",
+                    "--restarts", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_export_vectors(self, linegraph_file, tmp_path):
         out = tmp_path / "vec"
         run(["cluster", "--input", str(linegraph_file), "--k", "2",
@@ -198,6 +204,28 @@ class TestBaseline:
         code = run(["baseline", "--input", str(planted_file), "--k", "2",
                     "--a-grid", " ", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_coupling_is_config_error(self, tmp_path, a):
+        code = run(["baseline", "--generator", "planted", "--k", "2",
+                    "--a-grid", a, "--out", str(tmp_path)])
+        assert code == 2
+        assert not list(tmp_path.glob("labels_a*.csv"))
+
+    def test_negative_restarts_is_config_error(self, tmp_path, capsys):
+        code = run(["baseline", "--generator", "planted", "--k", "2",
+                    "--a-grid", "0.5", "--restarts", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_short_single_pass_is_insufficient(self, tmp_path):
+        # N = 4 vertex-views hold one temporal vector, so only three others
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"n": 2, "M": 2, "directed": False,
+                                    "edges": [[1, 0, 1, 1.0], [2, 0, 1, 1.0]]}))
+        code = run(["baseline", "--input", str(path), "--k", "4",
+                    "--a-grid", "0.5", "--out", str(tmp_path / "short")])
+        assert code == 5
 
 
 class TestGyre:

@@ -9,6 +9,10 @@ def zero_field(x, y, t):
     return np.zeros_like(x), np.zeros_like(y)
 
 
+def runaway(x, y, t):
+    return np.full_like(x, 50.0), np.zeros_like(y)
+
+
 class TestVelocity:
     def test_walls_have_no_flux(self):
         params = GyreParams()
@@ -68,11 +72,25 @@ class TestIntegrateRK4:
             integrate_rk4(np.zeros((1, 2)), 0.0, 1.0, 0.3, GyreParams())
 
     def test_step_too_large_detected(self):
-        def runaway(x, y, t):
-            return np.full_like(x, 50.0), np.zeros_like(y)
         with pytest.raises(StepTooLarge):
             integrate_rk4(np.array([[1.0, 0.5]]), 0.0, 1.0, 0.1, GyreParams(),
                           field=runaway)
+
+    def test_noise_draws_x_then_y_each_step(self):
+        state = np.array([[1.0, 0.5], [0.7, 0.4]])
+        out = integrate_rk4(state, 0.0, 1.0, 0.25, GyreParams(), field=zero_field,
+                            noise=0.1, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        x, y = state[:, 0], state[:, 1]
+        for _ in range(4):
+            x = x + 0.05 * rng.standard_normal(2)
+            y = y + 0.05 * rng.standard_normal(2)
+        np.testing.assert_array_equal(out, np.column_stack([x, y]))
+
+    def test_noise_needs_generator(self):
+        with pytest.raises(ValueError):
+            integrate_rk4(np.zeros((1, 2)), 0.0, 1.0, 0.25, GyreParams(),
+                          noise=0.1)
 
 
 class TestUlam:
@@ -109,6 +127,12 @@ class TestUlam:
         left = (np.arange(grid.n_boxes) % grid.nx) < grid.nx // 2
         leak = counts[left][:, ~left].sum() / counts[left].sum()
         assert leak < 0.02
+
+    def test_noisy_step_too_large_detected(self):
+        grid = UlamGrid(nx=8, ny=4, particles_per_box=5, step=0.05)
+        with pytest.raises(StepTooLarge):
+            ulam_counts(grid, GyreParams(), 0.0, seed=0, field=runaway,
+                        noise=0.02)
 
     def test_noise_spreads_mass(self):
         grid = UlamGrid(nx=8, ny=4, particles_per_box=30, step=0.25)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
-from stgl import (DirectedInput, TimeEvolvingGraph, build_supra, static_blocks,
+from stgl import (DirectedInput, InsufficientSpatialEigenvectors,
+                  TimeEvolvingGraph, build_supra, static_blocks, supra,
                   supra_cluster, symmetrize)
+from stgl.supra import classify_folded
 
 from util import random_teg, reference_random_walk_laplacian
 
@@ -39,6 +41,13 @@ class TestBuildSupra:
         g = undirected_teg(1)
         with pytest.raises(ValueError):
             build_supra(g, -1.0)
+
+    @pytest.mark.parametrize("variant", ["unnormalized", "normalized"])
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_coupling_rejected(self, a, variant):
+        g = undirected_teg(1)
+        with pytest.raises(ValueError):
+            build_supra(g, a, variant)
 
     def test_single_vertex_two_views(self):
         g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2)
@@ -132,3 +141,47 @@ class TestSupraCluster:
         a = supra_cluster(system, 2, seed=5)
         b = supra_cluster(system, 2, seed=5)
         assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.fixture()
+def spectrum_calls(monkeypatch):
+    """Spy on ``supra.supra_spectrum``; records the vectors of every call."""
+    calls = []
+    real = supra.supra_spectrum
+
+    def spy(system, j):
+        vals, vecs = real(system, j)
+        calls.append(vecs)
+        return vals, vecs
+
+    monkeypatch.setattr(supra, "supra_spectrum", spy)
+    return calls
+
+
+class TestOnePass:
+    def test_one_solve_with_at_most_M_temporal(self, spectrum_calls):
+        for seed in range(12):
+            g = undirected_teg(seed, n_max=30, M_max=5)
+            for variant in ("unnormalized", "normalized"):
+                for a in (1e-4, 0.05, 1.0, 10.0):
+                    system = build_supra(g, a, variant)
+                    for k in (1, 2, 3, 5):
+                        spectrum_calls.clear()
+                        try:
+                            supra_cluster(system, k, seed=0, restarts=1)
+                        except InsufficientSpatialEigenvectors:
+                            # short only when the solve spanned the whole space
+                            assert spectrum_calls[0].shape[1] == system.size
+                        assert len(spectrum_calls) == 1
+                        folded = spectrum_calls[0].T.reshape(-1, g.M, g.n)
+                        tags = [classify_folded(f) for f in folded]
+                        assert tags.count("temporal") <= g.M
+
+    @pytest.mark.parametrize("variant", ["unnormalized", "normalized"])
+    def test_short_single_pass_raises(self, spectrum_calls, variant):
+        # N = 4: one constant and one temporal vector leave three others
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        system = build_supra(TimeEvolvingGraph.from_dense([W, W]), 0.5, variant)
+        with pytest.raises(InsufficientSpatialEigenvectors):
+            supra_cluster(system, 4)
+        assert len(spectrum_calls) == 1
