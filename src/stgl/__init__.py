@@ -21,13 +21,12 @@ from .gyre import (GyreParams, UlamGrid, boundary_columns, gyre_graph,
                    integrate_rk4, ulam_counts, ulam_transition, velocity)
 from .io import load_graph, save_graph
 from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
-                        assemble_system, eigendecompose, fold_eigenvector,
-                        laplacian_spectrum)
+                        assemble_system, eigendecompose, laplacian_spectrum)
 from .operators import (OperatorSequence, correlation, covariance_matrices,
                         koopman_apply, propagate_densities,
                         reweighted_pf_apply, row_normalize)
 from .supra import SupraSystem, build_supra, supra_cluster, symmetrize
-from .walks import WalkTrace, escape_rate, occupancy, simulate_walk, simulate_walks
+from .walks import escape_rate, occupancy, simulate_walks
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

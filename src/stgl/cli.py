@@ -151,6 +151,7 @@ def cmd_baseline(args):
         graph = supra_mod.symmetrize(graph)
     timings = {}
     per_a = []
+    per_a_labels = []
     start = time.perf_counter()
     for a in a_grid:
         system = supra_mod.build_supra(graph, a, args.laplacian_variant)
@@ -163,7 +164,10 @@ def cmd_baseline(args):
             entry["ari_per_view"] = ari
             entry["ari_endpoint_mean"] = float((ari[0] + ari[-1]) / 2.0)
         per_a.append(entry)
-        io.save_labels_csv(os.path.join(out, f"labels_a{a:g}.csv"), result.labels)
+        per_a_labels.append(result.labels)
+    # written only once every a has solved, so a failing a leaves no files
+    for a, a_labels in zip(a_grid, per_a_labels):
+        io.save_labels_csv(os.path.join(out, f"labels_a{a:g}.csv"), a_labels)
     timings["total_s"] = time.perf_counter() - start
     results = {"per_a": per_a, "laplacian_variant": args.laplacian_variant}
     if labels is not None:
@@ -250,9 +254,9 @@ def cmd_walk(args):
     out = _resolve_out(args)
     ops = propagate_densities(graph, self_loops=not args.no_self_loops)
     starts = [vertices[i % len(vertices)] for i in range(args.walkers)]
-    traces = walks.simulate_walks(ops, starts, args.seed)
-    rate = walks.escape_rate(traces, vertices)
-    occ = walks.occupancy(traces, vertices)
+    paths = walks.simulate_walks(ops, starts, args.seed)
+    rate = walks.escape_rate(paths, vertices)
+    occ = walks.occupancy(paths, vertices)
     config = {"command": "walk", "vertices": vertices, "walkers": args.walkers,
               "seed": args.seed, "self_loops": not args.no_self_loops, **source}
     results = {"escape_rate": rate, "occupancy_per_view": occ,

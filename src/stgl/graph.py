@@ -18,6 +18,9 @@ def _as_csr(W, n):
         raise GraphFormatError("non-finite edge weight")
     if A.nnz and A.data.min() < 0:
         raise GraphFormatError("negative edge weight")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(A.sum(axis=1)).all():
+            raise GraphFormatError("edge weights overflow a vertex degree")
     A.eliminate_zeros()
     return A
 

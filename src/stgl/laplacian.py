@@ -223,14 +223,6 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
     return vals, vecs
 
 
-def fold_eigenvector(v, n, M):
-    """Reshape an Mn vector into M per-view slices of length n."""
-    v = np.asarray(v)
-    if v.shape != (M * n,):
-        raise ValueError(f"expected vector of length {M * n}, got {v.shape}")
-    return v.reshape(M, n).copy()
-
-
 def eigendecompose(system: SpatioTemporalSystem, k_request, *,
                    full_spectrum=False) -> SpectralEmbedding:
     """The k_request largest eigenpairs of C, solved in symmetric form.

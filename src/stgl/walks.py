@@ -2,77 +2,70 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
 from .operators import OperatorSequence
 
 
-@dataclass(frozen=True)
-class WalkTrace:
-    """One realized walk: the vertex visited at each view, plus its seed."""
+def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
+    """Walk one particle per entry of ``starts`` across all views.
 
-    path: tuple
-    seed: object
-
-
-def simulate_walk(ops: OperatorSequence, start, seed) -> WalkTrace:
-    """Walk one particle across all views, one step per view transition.
-
-    The position at view t+1 is drawn from row ``path[t]`` of S_t, so the
-    path has length M. Deterministic for a fixed seed.
+    Returns the (walkers, M) integer array of visited vertices. The
+    position at view t+1 is drawn from row ``paths[i, t]`` of S_t by
+    inverting the row's CDF at one uniform, which picks the same column as
+    ``Generator.choice(n, p=row)``. Walker i draws its M - 1 uniforms from
+    seed (seed, i), so results do not depend on scheduling or batch
+    splitting.
     """
-    n = ops.n
-    if not 0 <= start < n:
-        raise ValueError(f"start vertex {start} out of range [0, {n})")
-    rng = np.random.default_rng(seed)
-    path = [int(start)]
-    for S in ops.transitions[:-1]:
-        row = S[[path[-1]], :].toarray().ravel() if sparse.issparse(S) else S[path[-1]]
-        path.append(int(rng.choice(n, p=row)))
-    return WalkTrace(path=tuple(path), seed=seed)
+    n, M = ops.n, ops.M
+    starts = np.asarray(starts, dtype=np.intp)
+    bad = np.flatnonzero((starts < 0) | (starts >= n))
+    if bad.size:
+        raise ValueError(f"start vertex {starts[bad[0]]} out of range [0, {n})")
+    uniforms = np.array([np.random.default_rng((seed, i)).random(M - 1)
+                         for i in range(len(starts))]).reshape(len(starts), M - 1)
+    paths = np.empty((len(starts), M), dtype=np.intp)
+    paths[:, 0] = starts
+    for t, S in enumerate(ops.transitions[:-1]):
+        # the CDF must run over the columns in order, as the dense row does
+        S = sparse.csr_array(S).sorted_indices()
+        if (S.data < 0).any():
+            raise ValueError(f"transition matrix at view {t + 1} has negative entries")
+        order = np.argsort(paths[:, t])
+        rows, first = np.unique(paths[order, t], return_index=True)
+        for r, walkers in zip(rows, np.split(order, first[1:])):
+            a, b = S.indptr[r], S.indptr[r + 1]
+            cdf = S.data[a:b].cumsum()
+            cdf /= cdf[-1]
+            paths[walkers, t + 1] = S.indices[a:b][
+                cdf.searchsorted(uniforms[walkers, t], side="right")]
+    return paths
 
 
-def simulate_walks(ops: OperatorSequence, starts, seed) -> list:
-    """Simulate one walk per entry of ``starts`` with derived seeds.
+def escape_rate(paths, set_per_view) -> float:
+    """Fraction of walkers that leave the designated vertex set at any view.
 
-    Walker i uses seed (seed, i), so results do not depend on scheduling
-    or batch splitting.
+    ``paths`` is the (walkers, M) array of ``simulate_walks``.
+    ``set_per_view`` is either a single collection of vertices (used for
+    all views) or one collection per view.
     """
-    return [simulate_walk(ops, s, (seed, i)) for i, s in enumerate(starts)]
-
-
-def escape_rate(traces, set_per_view) -> float:
-    """Fraction of traces that leave the designated vertex set at any view.
-
-    ``set_per_view`` is either a single collection of vertices (used for all
-    views) or one collection per view.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    M = len(traces[0].path)
-    if set_per_view and isinstance(next(iter(set_per_view)), (set, frozenset, list, tuple, np.ndarray)):
-        sets = [frozenset(int(v) for v in s) for s in set_per_view]
+    if not len(paths):
+        raise ValueError("need at least one walker")
+    M = paths.shape[1]
+    sets = list(set_per_view)
+    if sets and isinstance(sets[0], (set, frozenset, list, tuple, np.ndarray)):
         if len(sets) != M:
             raise ValueError(f"expected {M} per-view sets, got {len(sets)}")
     else:
-        sets = [frozenset(int(v) for v in set_per_view)] * M
-    escaped = sum(
-        1 for tr in traces
-        if any(v not in sets[t] for t, v in enumerate(tr.path))
-    )
-    return escaped / len(traces)
+        sets = [sets] * M
+    stayed = np.logical_and.reduce(
+        [np.isin(paths[:, t], [int(v) for v in s]) for t, s in enumerate(sets)])
+    return np.count_nonzero(~stayed) / len(paths)
 
 
-def occupancy(traces, vertex_set) -> np.ndarray:
-    """Per-view fraction of traces inside ``vertex_set``."""
-    members = frozenset(int(v) for v in vertex_set)
-    M = len(traces[0].path)
-    counts = np.zeros(M)
-    for tr in traces:
-        for t, v in enumerate(tr.path):
-            if v in members:
-                counts[t] += 1
-    return counts / len(traces)
+def occupancy(paths, vertex_set) -> np.ndarray:
+    """Per-view fraction of walkers inside ``vertex_set``."""
+    if not len(paths):
+        raise ValueError("need at least one walker")
+    return np.isin(paths, [int(v) for v in vertex_set]).sum(axis=0) / len(paths)

@@ -108,8 +108,9 @@ class TestCluster:
         (False, "5"),
         (False, "[7]"),
         (False, '[[1, 0, 1, "x"]]'),
+        (False, "[[1, 0, 0, 1e308], [1, 0, 1, 1e308]]"),
     ], ids=["nan-weight", "inf-weight", "edges-not-list", "record-not-list",
-            "non-numeric-field"])
+            "non-numeric-field", "overflowing-degree"])
     def test_bad_input_is_format_error(self, tmp_path, directed, edges):
         bad = tmp_path / "bad.json"
         bad.write_text(f'{{"n": 2, "M": 2, "directed": {str(directed).lower()}, '
@@ -205,12 +206,23 @@ class TestBaseline:
                     "--a-grid", " ", "--out", str(tmp_path)])
         assert code == 2
 
-    @pytest.mark.parametrize("a", ["nan", "inf"])
+    @pytest.mark.parametrize("a", ["nan", "inf", "0.5,nan"])
     def test_non_finite_coupling_is_config_error(self, tmp_path, a):
         code = run(["baseline", "--generator", "planted", "--k", "2",
                     "--a-grid", a, "--out", str(tmp_path)])
         assert code == 2
         assert not list(tmp_path.glob("labels_a*.csv"))
+
+    def test_overflowing_degree_is_format_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 3, "M": 2, "directed": False,
+                                    "edges": [[1, 0, 1, 1.0], [1, 1, 2, 1.0],
+                                              [2, 0, 1, 1e308], [2, 1, 2, 1e308]]}))
+        out = tmp_path / "huge"
+        code = run(["baseline", "--input", str(path), "--k", "2",
+                    "--a-grid", "0.5", "--out", str(out)])
+        assert code == 3
+        assert not list(out.glob("labels_a*.csv"))
 
     def test_negative_restarts_is_config_error(self, tmp_path, capsys):
         code = run(["baseline", "--generator", "planted", "--k", "2",
@@ -253,6 +265,12 @@ class TestWalk:
         doc = json.loads((out / "walk_report.json").read_text())
         assert doc["results"]["final_outside_fraction"] < 0.1
         assert len(doc["results"]["occupancy_per_view"]) == 4
+
+    def test_zero_walkers_is_config_error(self, linegraph_file, tmp_path):
+        code = run(["walk", "--input", str(linegraph_file), "--vertices", "4,5",
+                    "--walkers", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "walk_report.json").exists()
 
     def test_requires_vertices(self, linegraph_file, tmp_path):
         code = run(["walk", "--input", str(linegraph_file), "--vertices", " ",

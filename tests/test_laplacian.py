@@ -4,9 +4,8 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
-                  assemble_system, eigendecompose, fold_eigenvector, laplacian,
-                  laplacian_spectrum, propagate_densities, spectral_cluster,
-                  static_blocks)
+                  assemble_system, eigendecompose, laplacian, laplacian_spectrum,
+                  propagate_densities, spectral_cluster, static_blocks)
 from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
@@ -331,18 +330,6 @@ class TestLaplacianSpectrum:
 
 
 class TestFoldAndClassify:
-    def test_fold_reshapes(self):
-        out = fold_eigenvector(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_fold_round_trip(self):
-        v = np.arange(12.0)
-        assert np.array_equal(fold_eigenvector(v, 3, 4).ravel(), v)
-
-    def test_fold_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fold_eigenvector(np.ones(5), 2, 2)
-
     def test_constant_vector(self):
         assert classify_folded(np.ones((3, 4))) == "constant"
 

@@ -110,6 +110,26 @@ def reference_random_walk_laplacian(graph, a, self_loops=True):
     return np.eye(M * n) - W / W.sum(axis=1)[:, None]
 
 
+def reference_walks(ops, starts, seed):
+    """The per-walker walk: one ``Generator.choice`` call per step.
+
+    Walker i draws from ``default_rng((seed, i))`` and reads each row of
+    S_t densely, so nothing depends on the CSR layout of the transitions.
+    """
+    n = ops.n
+    paths = []
+    for i, start in enumerate(starts):
+        if not 0 <= start < n:
+            raise ValueError(f"start vertex {start} out of range [0, {n})")
+        rng = np.random.default_rng((seed, i))
+        path = [int(start)]
+        for S in ops.transitions[:-1]:
+            row = sparse.csr_array(S)[[path[-1]], :].toarray().ravel()
+            path.append(int(rng.choice(n, p=row)))
+        paths.append(path)
+    return np.array(paths, dtype=np.intp).reshape(len(starts), ops.M)
+
+
 def arpack_two_converged(A, k, **kwargs):
     """Stands in for ``eigsh``: fails with two converged eigenpairs."""
     N = A.shape[0]
