@@ -15,16 +15,14 @@ from .clustering import (ClusteringResult, Embedding, PipelineResult,
 from .errors import (ConvergenceFailure, DegenerateInput, DensityVanished,
                      DirectedInput, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
-                     UnknownGenerator, ZeroOutDegree, ZeroVariance)
+                     UnknownGenerator, ZeroOutDegree)
 from .graph import TimeEvolvingGraph
 from .gyre import (GyreParams, UlamGrid, boundary_columns, gyre_graph,
-                   integrate_rk4, ulam_counts, ulam_transition, velocity)
+                   integrate_rk4, ulam_counts, velocity)
 from .io import load_graph, save_graph
 from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
-                        assemble_system, eigendecompose, laplacian_spectrum)
-from .operators import (OperatorSequence, correlation, covariance_matrices,
-                        koopman_apply, propagate_densities,
-                        reweighted_pf_apply, row_normalize)
+                        assemble_system, eigendecompose)
+from .operators import OperatorSequence, propagate_densities, row_normalize
 from .supra import SupraSystem, build_supra, supra_cluster, symmetrize
 from .walks import escape_rate, occupancy, simulate_walks
 

@@ -2,8 +2,8 @@
 
 All generators are deterministic functions of their seed. Community
 structure is planted directly: edges appear independently with probability
-p_in inside blocks and p_out across, with weights drawn from a configurable
-law. Ground truth is returned as an (M, n) label array.
+p_in inside blocks and p_out across, with weights drawn uniformly from a
+(low, high) range. Ground truth is returned as an (M, n) label array.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from scipy import sparse
 
 from .graph import TimeEvolvingGraph
 
-DEFAULT_WEIGHTS = ("uniform", 0.5, 1.5)
+DEFAULT_WEIGHTS = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class BenchmarkSpec:
     block_membership: np.ndarray = field(repr=False)
     p_in: float
     p_out: float
-    weight_dist: tuple = DEFAULT_WEIGHTS
+    weight_range: tuple = DEFAULT_WEIGHTS
     seed: int = 0
 
     def __post_init__(self):
@@ -41,17 +41,6 @@ class BenchmarkSpec:
         if not 0 <= self.p_out <= self.p_in <= 1:
             raise ValueError("need 0 <= p_out <= p_in <= 1")
         object.__setattr__(self, "block_membership", membership)
-
-
-def _draw_weights(rng, size, dist):
-    kind = dist[0]
-    if kind == "uniform":
-        return rng.uniform(dist[1], dist[2], size)
-    if kind == "constant":
-        return np.full(size, float(dist[1]))
-    if kind == "lognormal":
-        return rng.lognormal(dist[1], dist[2], size)
-    raise ValueError(f"unknown weight distribution {dist!r}")
 
 
 def gen_planted_partition(spec: BenchmarkSpec) -> TimeEvolvingGraph:
@@ -67,7 +56,7 @@ def gen_planted_partition(spec: BenchmarkSpec) -> TimeEvolvingGraph:
         m = spec.block_membership[t]
         prob = np.where(m[iu] == m[ju], spec.p_in, spec.p_out)
         present = rng.random(len(iu)) < prob
-        w = _draw_weights(rng, int(present.sum()), spec.weight_dist)
+        w = rng.uniform(*spec.weight_range, int(present.sum()))
         i, j = iu[present], ju[present]
         W = sparse.coo_array((np.concatenate([w, w]),
                               (np.concatenate([i, j]), np.concatenate([j, i]))),
@@ -96,10 +85,10 @@ def benchmark1_membership():
     return membership
 
 
-BENCHMARK1_WEIGHTS = ("uniform", 0.006, 0.018)
+BENCHMARK1_WEIGHTS = (0.006, 0.018)
 
 
-def gen_benchmark1(seed=0, p_in=0.5, p_out=0.004, weight_dist=BENCHMARK1_WEIGHTS):
+def gen_benchmark1(seed=0):
     """Undirected graph, n=300, M=10: three 100-vertex clusters where
     cluster 1 gradually shrinks to 65 and cluster 2 grows to 135.
 
@@ -113,21 +102,22 @@ def gen_benchmark1(seed=0, p_in=0.5, p_out=0.004, weight_dist=BENCHMARK1_WEIGHTS
     """
     membership = benchmark1_membership()
     spec = BenchmarkSpec(n=300, M=10, k_true=3, block_membership=membership,
-                         p_in=p_in, p_out=p_out, weight_dist=weight_dist,
+                         p_in=0.5, p_out=0.004, weight_range=BENCHMARK1_WEIGHTS,
                          seed=seed)
     return gen_planted_partition(spec), membership.copy()
 
 
-def gen_benchmark2(seed=0, p_in=0.5, p_out=0.01, split_at=4):
+def gen_benchmark2(seed=0):
     """Directed graph, n=400, M=10: one 200-vertex diagonal cluster that
     splits in half, plus two 100-vertex off-diagonal clusters.
 
-    The off-diagonal clusters X and Y carry no internal structure; X's
-    vertices share dense out-links to Y and in-links from Y, which shows up
-    as two dense off-diagonal adjacency blocks. The split is realized by
-    removing each edge between the two halves of the big cluster with
-    probability 0.5 at every view transition (cumulatively). Ground truth
-    uses four labels, splitting the big cluster from view ``split_at`` on.
+    Edges appear with probability 0.5 inside the dense blocks and 0.01
+    elsewhere. The off-diagonal clusters X and Y carry no internal
+    structure; X's vertices share dense out-links to Y and in-links from Y,
+    which shows up as two dense off-diagonal adjacency blocks. The split is
+    realized by removing each edge between the two halves of the big
+    cluster with probability 0.5 at every view transition (cumulatively).
+    Ground truth uses four labels, splitting the big cluster from view 4 on.
 
     Returns (graph, ground-truth labels).
     """
@@ -140,10 +130,10 @@ def gen_benchmark2(seed=0, p_in=0.5, p_out=0.01, split_at=4):
     dense[groups["A1"].start:groups["A2"].stop, groups["A1"].start:groups["A2"].stop] = True
     dense[groups["X"], groups["Y"]] = True
     dense[groups["Y"], groups["X"]] = True
-    prob = np.where(dense, p_in, p_out)
+    prob = np.where(dense, 0.5, 0.01)
     np.fill_diagonal(prob, 0.0)
     present = rng.random((n, n)) < prob
-    weights = np.where(present, _draw_weights(rng, (n, n), DEFAULT_WEIGHTS), 0.0)
+    weights = np.where(present, rng.uniform(*DEFAULT_WEIGHTS, (n, n)), 0.0)
 
     cross = np.zeros((n, n), dtype=bool)
     cross[groups["A1"], groups["A2"]] = True
@@ -160,7 +150,7 @@ def gen_benchmark2(seed=0, p_in=0.5, p_out=0.01, split_at=4):
     labels = np.zeros((M, n), dtype=int)
     labels[:, groups["X"]] = 1
     labels[:, groups["Y"]] = 2
-    labels[split_at - 1:, groups["A2"]] = 3
+    labels[3:, groups["A2"]] = 3
     return (TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots), directed=True),
             labels)
 
@@ -185,11 +175,9 @@ def gen_line_graph() -> TimeEvolvingGraph:
     return TimeEvolvingGraph.from_dense(snapshots, directed=False)
 
 
-def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0,
-                  weight_dist=DEFAULT_WEIGHTS):
+def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0):
     """A time-constant planted partition, mostly for tests and examples."""
     membership = np.tile(np.repeat(np.arange(blocks), n // blocks), (M, 1))
     spec = BenchmarkSpec(n=n, M=M, k_true=blocks, block_membership=membership,
-                         p_in=p_in, p_out=p_out, weight_dist=weight_dist,
-                         seed=seed)
+                         p_in=p_in, p_out=p_out, seed=seed)
     return gen_planted_partition(spec), membership.copy()

@@ -9,18 +9,15 @@ Exit codes: 0 success, 2 configuration error, 3 input format error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import benchmarks, gyre as gyre_mod, io, supra as supra_mod, walks
 from .clustering import score_against, spectral_cluster
 from .errors import (ConvergenceFailure, DensityVanished, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
-                     UnknownGenerator, ZeroOutDegree, ZeroVariance)
+                     UnknownGenerator, ZeroOutDegree)
 from .laplacian import assemble_system, eigendecompose
 from .operators import propagate_densities
 
@@ -343,7 +340,7 @@ def main(argv=None):
     except (GraphFormatError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ConvergenceFailure, DensityVanished, ZeroOutDegree, ZeroVariance,
+    except (ConvergenceFailure, DensityVanished, ZeroOutDegree,
             StepTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

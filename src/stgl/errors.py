@@ -27,10 +27,6 @@ class DensityVanished(StglError):
                          f"(value={value!r}); the graph needs regularization")
 
 
-class ZeroVariance(StglError):
-    """A correlation was requested for a function with zero variance."""
-
-
 class ConvergenceFailure(StglError):
     """The iterative eigensolver did not converge."""
 

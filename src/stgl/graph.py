@@ -64,13 +64,13 @@ class TimeEvolvingGraph:
         """Snapshot of view t (1-based) as a dense array."""
         return self.snapshots[t - 1].toarray()
 
-    def with_self_loops(self, weight=1.0):
-        """Copy of the graph with ``weight`` added to every diagonal entry.
+    def with_self_loops(self):
+        """Copy of the graph with 1 added to every diagonal entry.
 
         Guarantees positive out-degrees, hence strictly positive densities
         under propagation.
         """
-        eye = sparse.identity(self.n, format="csr") * weight
+        eye = sparse.identity(self.n, format="csr")
         snaps = tuple(sparse.csr_array(W + eye) for W in self.snapshots)
         return TimeEvolvingGraph(n=self.n, M=self.M, snapshots=snaps,
                                  directed=self.directed)

@@ -187,17 +187,6 @@ def ulam_counts(grid: UlamGrid, params: GyreParams, t, seed, field=None,
     return sparse.csr_array(counts)
 
 
-def ulam_transition(grid: UlamGrid, params: GyreParams, t, seed, field=None,
-                    noise=0.0):
-    """Row-stochastic Ulam estimate of the transfer operator on [t, t+1].
-
-    Every row holds exactly ``particles_per_box`` counts by construction,
-    so normalization never divides by zero.
-    """
-    counts = ulam_counts(grid, params, t, seed, field=field, noise=noise)
-    return sparse.csr_array(counts / float(grid.particles_per_box))
-
-
 def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0,
                noise=DEFAULT_GYRE_NOISE):
     """Directed time-evolving graph of Ulam transition counts.

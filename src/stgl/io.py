@@ -1,10 +1,11 @@
 """File formats: graph JSON, CSV exports, and report JSON.
 
-A graph file is a JSON document with fields ``n``, ``M``, ``directed``,
-``edges`` (records ``[t, i, j, w]`` with 1-based view t, 0-based vertices,
-w > 0; absent entries are zero) and optionally ``labels`` (M arrays of n
-integers). Undirected graphs store each edge once with i <= j; the loader
-mirrors it. All writers go through an atomic temp-file-plus-rename.
+A graph file is a JSON document with integer fields ``n`` and ``M``, a
+boolean ``directed``, ``edges`` (records ``[t, i, j, w]`` with integer
+1-based view t and 0-based vertices, numeric w > 0; absent entries are
+zero) and optionally ``labels`` (M arrays of n integers). Undirected
+graphs store each edge once with i <= j; the loader mirrors it. All
+writers go through an atomic temp-file-plus-rename.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from .errors import GraphFormatError
 from .graph import TimeEvolvingGraph
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
+def _numpy_to_json(obj):
+    """``json.dumps`` hook for the numpy values a payload may hold."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def atomic_write_text(path, text):
@@ -51,8 +49,8 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(_to_jsonable(payload), indent=2,
-                                       sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                       default=_numpy_to_json) + "\n")
 
 
 def save_graph(path, graph: TimeEvolvingGraph, labels=None):
@@ -75,7 +73,11 @@ def _edge_records(edges):
     """Parse the ``edges`` field into (t, i, j, w) number tuples."""
     try:
         for t, i, j, w in edges:
-            yield int(t), int(i), int(j), float(w)
+            if not (type(t) is type(i) is type(j) is int
+                    and type(w) in (int, float)):
+                raise TypeError(f"record {[t, i, j, w]!r} is not "
+                                "[integer, integer, integer, number]")
+            yield t, i, j, float(w)
     except (TypeError, ValueError, OverflowError) as err:
         raise GraphFormatError(f"edges must be a list of [t, i, j, w] number "
                                f"records: {err}") from err
@@ -89,10 +91,13 @@ def load_graph(path):
         except json.JSONDecodeError as err:
             raise GraphFormatError(f"not valid JSON: {err}") from err
     try:
-        n, M, directed = int(doc["n"]), int(doc["M"]), bool(doc["directed"])
-        edges = doc["edges"]
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
+    except (KeyError, TypeError) as err:
         raise GraphFormatError(f"missing or malformed header field: {err}") from err
+    # a JSON integer parses to exactly int; a float, string or boolean fails
+    if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
+        raise GraphFormatError("header fields n and M must be integers, n "
+                               "positive, and directed a boolean")
 
     entries = [dict() for _ in range(M)]
     for t, i, j, w in _edge_records(edges):
@@ -122,12 +127,14 @@ def load_graph(path):
 
     labels = doc.get("labels")
     if labels is not None:
+        if not (isinstance(labels, list) and len(labels) == M
+                and all(isinstance(row, list) and len(row) == n
+                        and all(type(v) is int for v in row) for row in labels)):
+            raise GraphFormatError(f"labels must be {M} lists of {n} integers")
         try:
-            labels = np.asarray(labels, dtype=int)
-        except (TypeError, ValueError, OverflowError) as err:
+            labels = np.array(labels, dtype=int)
+        except OverflowError as err:
             raise GraphFormatError(f"labels must be integers: {err}") from err
-        if labels.shape != (M, n):
-            raise GraphFormatError(f"labels must be {(M, n)}, got {labels.shape}")
     return graph, labels
 
 

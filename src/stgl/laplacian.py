@@ -262,10 +262,3 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     return SpectralEmbedding(n=system.n, M=system.M, eigenvalues=vals,
                              vectors=vecs, tags=tags)
 
-
-def laplacian_spectrum(system: SpatioTemporalSystem) -> np.ndarray:
-    """All eigenvalues of L = I - C, ascending; contained in [0, 2] and
-    symmetric about 1."""
-    Hd = system.symmetrized().toarray()
-    vals = np.linalg.eigvalsh(Hd)
-    return np.sort(1.0 - vals)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DensityVanished, ZeroOutDegree, ZeroVariance
+from .errors import DensityVanished, ZeroOutDegree
 from .graph import TimeEvolvingGraph
 
 DENSITY_FLOOR = 1e-300
@@ -58,41 +58,30 @@ class OperatorSequence:
     def n(self):
         return self.transitions[0].shape[0]
 
-    def transition_dense(self, t):
-        """S_t (1-based view) as a dense array."""
-        S = self.transitions[t - 1]
-        return S.toarray() if sparse.issparse(S) else np.asarray(S)
-
 
 def row_normalize(W):
-    """Divide each row of a nonnegative matrix by its out-degree.
+    """Divide each row of a nonnegative sparse matrix by its out-degree.
 
     Raises ZeroOutDegree for any empty row; callers regularize first
     (see ``propagate_densities`` self-loop handling).
     """
-    if sparse.issparse(W):
-        W = sparse.csr_array(W)
-        degrees = np.asarray(W.sum(axis=1)).ravel()
-        zero = np.flatnonzero(degrees <= 0)
-        if zero.size:
-            raise ZeroOutDegree(int(zero[0]))
-        inv = sparse.dia_array((1.0 / degrees[None, :], [0]), shape=W.shape)
-        return sparse.csr_array(inv @ W)
-    W = np.asarray(W, dtype=float)
-    degrees = W.sum(axis=1)
+    W = sparse.csr_array(W)
+    degrees = np.asarray(W.sum(axis=1)).ravel()
     zero = np.flatnonzero(degrees <= 0)
     if zero.size:
         raise ZeroOutDegree(int(zero[0]))
-    return W / degrees[:, None]
+    inv = sparse.dia_array((1.0 / degrees[None, :], [0]), shape=W.shape)
+    return sparse.csr_array(inv @ W)
 
 
-def propagate_densities(graph: TimeEvolvingGraph, mu1=None, *, self_loops=True,
-                        floor=DENSITY_FLOOR) -> OperatorSequence:
-    """Build the transition matrices and propagate the reference density.
+def propagate_densities(graph: TimeEvolvingGraph, *,
+                        self_loops=True) -> OperatorSequence:
+    """Build the transition matrices and propagate the uniform density.
 
-    ``mu1`` defaults to the uniform density. With ``self_loops`` (the
-    default) a unit self-loop is added to every vertex at every view before
-    normalization, which keeps all propagated densities strictly positive.
+    The density at view 1 is uniform. With ``self_loops`` (the default) a
+    unit self-loop is added to every vertex at every view before
+    normalization, which keeps all propagated densities strictly positive;
+    without it, an entry below ``DENSITY_FLOOR`` raises DensityVanished.
     """
     g = graph.with_self_loops() if self_loops else graph
     transitions = []
@@ -102,68 +91,12 @@ def propagate_densities(graph: TimeEvolvingGraph, mu1=None, *, self_loops=True,
         except ZeroOutDegree as err:
             raise ZeroOutDegree(err.vertex, view=t) from None
 
-    if mu1 is None:
-        mu = np.full(g.n, 1.0 / g.n)
-    else:
-        mu = np.asarray(mu1, dtype=float)
-        if mu.shape != (g.n,) or mu.min() <= 0:
-            raise ValueError("initial density must be strictly positive of length n")
-        if abs(mu.sum() - 1.0) > 1e-9:
-            raise ValueError("initial density must sum to 1")
-
+    mu = np.full(g.n, 1.0 / g.n)
     densities = [mu]
     for t, S in enumerate(transitions[:-1], start=1):
         mu = S.T @ mu
-        bad = np.flatnonzero(mu < floor)
+        bad = np.flatnonzero(mu < DENSITY_FLOOR)
         if bad.size:
             raise DensityVanished(t + 1, int(bad[0]), float(mu[bad[0]]))
         densities.append(mu)
     return OperatorSequence(transitions=tuple(transitions), densities=tuple(densities))
-
-
-def koopman_apply(S_t, f):
-    """Pull an observable one view backward: returns S_t f."""
-    f = np.asarray(f, dtype=float)
-    return S_t @ f
-
-
-def reweighted_pf_apply(S_t, mu_t, mu_next, u):
-    """Push a function one view forward relative to the reference densities.
-
-    Returns D_{mu_next}^{-1} S_t^T D_{mu_t} u.
-    """
-    mu_t = np.asarray(mu_t, dtype=float)
-    mu_next = np.asarray(mu_next, dtype=float)
-    if not (mu_t.min() > 0 and mu_next.min() > 0):
-        bad = int(np.argmin(np.minimum(mu_t, mu_next)))
-        raise DensityVanished("?", bad, float(min(mu_t.min(), mu_next.min())))
-    u = np.asarray(u, dtype=float)
-    return (S_t.T @ (mu_t * u)) / mu_next
-
-
-def covariance_matrices(ops: OperatorSequence, t):
-    """Covariance and cross-covariance matrices at view t (1-based).
-
-    Returns (C_tt, C_t(t+1), C_(t+1)(t+1)) with C_tt = D_{mu_t} and
-    C_t(t+1) = D_{mu_t} S_t.
-    """
-    mu_t = ops.densities[t - 1]
-    mu_next = ops.densities[t]
-    S = ops.transitions[t - 1]
-    scale = sparse.dia_array((mu_t[None, :], [0]), shape=S.shape)
-    cross = sparse.csr_array(scale @ S)
-    return np.diag(mu_t), cross.toarray(), np.diag(mu_next)
-
-
-def correlation(f, g, C_cross, C_ff, C_gg):
-    """Correlation of two view functions under the given (cross-)covariances.
-
-    corr(f, g) = f^T C_cross g / sqrt(f^T C_ff f) / sqrt(g^T C_gg g).
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    var_f = float(f @ (C_ff @ f))
-    var_g = float(g @ (C_gg @ g))
-    if var_f <= 0 or var_g <= 0:
-        raise ZeroVariance("correlation undefined for zero-variance function")
-    return float(f @ (C_cross @ g)) / np.sqrt(var_f) / np.sqrt(var_g)

@@ -138,7 +138,7 @@ def test_c05_m2_reduction():
         emb = eigendecompose(system, 1)
         lam, vec = emb.eigenvalues[0], emb.vectors[:, 0]
         n = graph.n
-        K1 = ops.transition_dense(1)
+        K1 = ops.transitions[0].toarray()
         T1 = np.diag(1.0 / ops.densities[1]) @ K1.T @ np.diag(ops.densities[0])
         f1 = vec[:n]
         resid = np.abs(K1 @ (T1 @ f1) - lam ** 2 * f1).max()

@@ -108,10 +108,10 @@ class TestPlantedPartition:
     def test_equal_probabilities_no_signal(self):
         membership = np.tile(np.repeat([0, 1], 40), (2, 1))
         spec = BenchmarkSpec(n=80, M=2, k_true=2, block_membership=membership,
-                             p_in=0.4, p_out=0.4, seed=1,
-                             weight_dist=("constant", 1.0))
+                             p_in=0.4, p_out=0.4, seed=1)
         g = gen_planted_partition(spec)
-        degrees = g.dense(1).sum(axis=1)
+        # edge counts: the signal in question is which edges exist
+        degrees = (g.dense(1) > 0).sum(axis=1)
         within, across = degrees[:40].mean(), degrees[40:].mean()
         se = degrees.std() / np.sqrt(40)
         assert abs(within - across) < 4 * se
@@ -130,16 +130,13 @@ class TestPlantedPartition:
 
     def test_weight_laws(self):
         membership = np.tile(np.repeat([0, 1], 10), (2, 1))
-        for dist in [("uniform", 0.5, 1.5), ("constant", 2.0),
-                     ("lognormal", 0.0, 0.5)]:
+        for low, high in [(0.5, 1.5), (0.006, 0.018)]:
             spec = BenchmarkSpec(n=20, M=2, k_true=2,
                                  block_membership=membership, p_in=0.9,
-                                 p_out=0.05, weight_dist=dist, seed=2)
+                                 p_out=0.05, weight_range=(low, high), seed=2)
             g = gen_planted_partition(spec)
-            data = g.snapshots[0].data
-            assert data.min() > 0
-            if dist[0] == "constant":
-                assert np.all(data == 2.0)
+            for W in g.snapshots:
+                assert low <= W.data.min() and W.data.max() < high
 
     def test_end_to_end_recovery(self):
         graph, truth = static_blocks(n=30, blocks=2, M=3, p_in=0.9,

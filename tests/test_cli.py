@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stgl import clustering, laplacian
+from stgl import clustering, laplacian, save_graph
 from stgl.cli import main
 
-from util import arpack_two_converged
+from util import arpack_two_converged, random_teg
 
 
 def run(argv):
@@ -103,17 +107,24 @@ class TestCluster:
                     "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("directed,edges", [
-        (True, "[[1, 0, 1, NaN]]"),
-        (False, "[[1, 0, 1, Infinity]]"),
-        (False, "5"),
-        (False, "[7]"),
-        (False, '[[1, 0, 1, "x"]]'),
-        (False, "[[1, 0, 0, 1e308], [1, 0, 1, 1e308]]"),
+        ("true", "[[1, 0, 1, NaN]]"),
+        ("false", "[[1, 0, 1, Infinity]]"),
+        ("false", "5"),
+        ("false", "[7]"),
+        ("false", '[[1, 0, 1, "x"]]'),
+        ("false", "[[1, 0, 0, 1e308], [1, 0, 1, 1e308]]"),
+        ('"false"', "[[1, 0, 1, 1.0]]"),
+        ("false", "[[1.7, 0, 1, 1.0]]"),
+        ("false", "[[1, 0.9, 1, 1.0]]"),
+        ("false", '[[1, "0", 1, 1.0]]'),
+        ("false", '[[1, 0, 1, 1.0]], "labels": [[0, 1], [0, 1.5]]'),
     ], ids=["nan-weight", "inf-weight", "edges-not-list", "record-not-list",
-            "non-numeric-field", "overflowing-degree"])
+            "non-numeric-field", "overflowing-degree", "directed-string",
+            "fractional-view", "fractional-vertex", "string-vertex",
+            "fractional-label"])
     def test_bad_input_is_format_error(self, tmp_path, directed, edges):
         bad = tmp_path / "bad.json"
-        bad.write_text(f'{{"n": 2, "M": 2, "directed": {str(directed).lower()}, '
+        bad.write_text(f'{{"n": 2, "M": 2, "directed": {directed}, '
                        f'"edges": {edges}}}')
         assert run(["cluster", "--input", str(bad), "--k", "2",
                     "--out", str(tmp_path)]) == 3
@@ -276,3 +287,81 @@ class TestWalk:
         code = run(["walk", "--input", str(linegraph_file), "--vertices", " ",
                     "--out", str(tmp_path)])
         assert code == 2
+
+
+CORRUPTIONS = ("drop-key", "wrong-type", "nan", "inf", "negative",
+               "fractional", "truncate", "duplicate", "view-range",
+               "vertex-range")
+
+
+def corrupt(text, kind, draw):
+    """One corruption of ``kind`` applied to a saved graph file's text.
+
+    Header ``n`` and ``M`` never grow: every corruption of them yields a
+    non-integer or a value no larger than before.
+    """
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    if kind == "drop-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return json.dumps(doc)
+    edges = doc["edges"]
+    if not edges:
+        edges.append([1, 0, 0, 1.0])
+    record = draw(st.sampled_from(edges))
+    if kind == "duplicate":
+        edges.append(record[:3] + [2.0 * record[3] + 1.0])
+    elif kind == "view-range":
+        record[0] = draw(st.sampled_from([0, -1, doc["M"] + 1, 10**12]))
+    elif kind == "vertex-range":
+        record[draw(st.sampled_from([1, 2]))] = draw(
+            st.sampled_from([-1, doc["n"], 10**12]))
+    else:
+        slots = [(doc, "n"), (doc, "M"), (record, 0), (record, 1),
+                 (record, 2), (record, 3)]
+        if kind == "wrong-type":
+            slots.append((doc, "directed"))
+        if "labels" in doc:
+            slots.append((draw(st.sampled_from(doc["labels"])), 0))
+        owner, key = draw(st.sampled_from(slots))
+        if kind == "wrong-type":
+            other = 1 if key == "directed" else True
+            owner[key] = draw(st.sampled_from(["3", None, other, [], {}]))
+        elif kind == "nan":
+            owner[key] = float("nan")
+        elif kind == "inf":
+            owner[key] = draw(st.sampled_from([float("inf"), float("-inf")]))
+        elif kind == "negative":
+            owner[key] = -owner[key] - 1
+        else:
+            owner[key] += 0.5
+    return json.dumps(doc)
+
+
+class TestCorruptedInput:
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_labels=st.booleans(),
+           kind=st.sampled_from(CORRUPTIONS), data=st.data())
+    def test_clusters_or_exits_with_one_error_line(self, seed, with_labels,
+                                                   kind, data):
+        graph = random_teg(seed, n_max=12, M_max=4)
+        labels = None
+        if with_labels:
+            labels = np.random.default_rng(seed).integers(0, 3, (graph.M, graph.n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "graph.json")
+            save_graph(path, graph, labels)
+            with open(path) as handle:
+                text = corrupt(handle.read(), kind, data.draw)
+            with open(path, "w") as handle:
+                handle.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["cluster", "--input", path, "--k", "2",
+                             "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines

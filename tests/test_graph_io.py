@@ -91,6 +91,14 @@ class TestGraphFiles:
         with pytest.raises(GraphFormatError):
             load_graph(path)
 
+    def test_negative_vertex_count(self, tmp_path):
+        # with no edges to range-check, nothing else stops a negative n
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": -1, "M": 2, "directed": True,
+                                    "edges": []}))
+        with pytest.raises(GraphFormatError):
+            load_graph(path)
+
     def test_nonpositive_weight(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "M": 2, "directed": True,

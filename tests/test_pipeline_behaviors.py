@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import stgl
 from stgl import (build_supra, gen_benchmark1, score_against,
                   spectral_cluster, supra_cluster)
 from stgl.supra import classify_folded
@@ -88,3 +89,24 @@ class TestBenchmark1Eigenvalues:
         gaps = -np.diff(ev)
         third = gaps[2]
         assert third < 3 * max(gaps[1], gaps[3])
+
+
+def test_public_surface_is_pinned():
+    # adding or removing an export must show up as a change to this list
+    assert sorted(stgl.__all__) == [
+        "BenchmarkSpec", "ClusteringResult", "ConvergenceFailure",
+        "DegenerateInput", "DensityVanished", "DirectedInput", "Embedding",
+        "GraphFormatError", "GyreParams", "InsufficientSpatialEigenvectors",
+        "OperatorSequence", "PipelineResult", "SpatioTemporalSystem",
+        "SpectralEmbedding", "StepTooLarge", "StglError", "SupraSystem",
+        "TimeEvolvingGraph", "UlamGrid", "UnknownGenerator", "ZeroOutDegree",
+        "adjusted_rand_index", "assemble_system", "benchmarks",
+        "boundary_columns", "build_supra", "clustering", "eigendecompose",
+        "errors", "escape_rate", "gen_benchmark1", "gen_benchmark2",
+        "gen_line_graph", "gen_planted_partition", "graph", "gyre",
+        "gyre_graph", "integrate_rk4", "io", "kmeans", "laplacian",
+        "load_graph", "occupancy", "operators", "propagate_densities",
+        "row_normalize", "save_graph", "score_against", "select_spatial",
+        "simulate_walks", "spectral_cluster", "static_blocks", "supra",
+        "supra_cluster", "symmetrize", "ulam_counts", "velocity", "walks",
+    ]

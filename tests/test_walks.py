@@ -32,7 +32,7 @@ class TestSimulateWalk:
         paths = simulate_walks(ops, [w % 6 for w in range(50)], seed=9)
         for path in paths:
             for t in range(3):
-                S = ops.transition_dense(t + 1)
+                S = ops.transitions[t].toarray()
                 assert S[path[t], path[t + 1]] > 0
 
     def test_out_of_range_start(self):
@@ -62,7 +62,7 @@ class TestSimulateWalk:
         paths = simulate_walks(ops, [0] * n_samples, seed=2024)
         counts = np.bincount(paths[:, 1], minlength=3)
         freq = counts / n_samples
-        row = ops.transition_dense(1)[0]
+        row = ops.transitions[0].toarray()[0]
         se = np.sqrt(row * (1 - row) / n_samples)
         assert np.all(np.abs(freq - row) <= 3 * se + 1e-12)
 

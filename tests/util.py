@@ -61,7 +61,7 @@ def reference_symmetrized(graph):
     N = M * n
     A = np.zeros((N, N))
     for t in range(M - 1):
-        S = ops.transition_dense(t + 1)
+        S = ops.transitions[t].toarray()
         cross = np.diag(ops.densities[t]) @ S
         A[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n] = cross
         A[(t + 1) * n:(t + 2) * n, t * n:(t + 1) * n] = cross.T
