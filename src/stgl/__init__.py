@@ -26,6 +26,23 @@ from .operators import OperatorSequence, propagate_densities, row_normalize
 from .supra import SupraSystem, build_supra, supra_cluster, symmetrize
 from .walks import escape_rate, occupancy, simulate_walks
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BenchmarkSpec", "gen_benchmark1", "gen_benchmark2", "gen_line_graph",
+    "gen_planted_partition", "static_blocks",
+    "ClusteringResult", "Embedding", "PipelineResult", "adjusted_rand_index",
+    "kmeans", "score_against", "select_spatial", "spectral_cluster",
+    "ConvergenceFailure", "DegenerateInput", "DensityVanished",
+    "DirectedInput", "GraphFormatError", "InsufficientSpatialEigenvectors",
+    "StepTooLarge", "StglError", "UnknownGenerator", "ZeroOutDegree",
+    "TimeEvolvingGraph",
+    "GyreParams", "UlamGrid", "boundary_columns", "gyre_graph",
+    "integrate_rk4", "ulam_counts", "velocity",
+    "load_graph", "save_graph",
+    "SpatioTemporalSystem", "SpectralEmbedding", "assemble_system",
+    "eigendecompose",
+    "OperatorSequence", "propagate_densities", "row_normalize",
+    "SupraSystem", "build_supra", "supra_cluster", "symmetrize",
+    "escape_rate", "occupancy", "simulate_walks",
+]
 
 __version__ = "0.1.0"

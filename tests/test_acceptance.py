@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from stgl import (GyreParams, UlamGrid, adjusted_rand_index, boundary_columns,
                   build_supra, eigendecompose, gen_benchmark1, gen_benchmark2,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stgl import (DegenerateInput, InsufficientSpatialEigenvectors,
-                  adjusted_rand_index, eigendecompose, kmeans, score_against,
-                  select_spatial, spectral_cluster, static_blocks)
+                  adjusted_rand_index, kmeans, score_against, select_spatial,
+                  spectral_cluster, static_blocks)
 from stgl.clustering import _lloyd
 from stgl.laplacian import SpectralEmbedding
 

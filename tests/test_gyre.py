@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
-from stgl import (GyreParams, StepTooLarge, UlamGrid, integrate_rk4,
-                  ulam_counts, velocity)
+from stgl import (GraphFormatError, GyreParams, StepTooLarge, UlamGrid,
+                  gyre_graph, integrate_rk4, ulam_counts, velocity)
+from stgl import gyre
 
 
 def zero_field(x, y, t):
@@ -11,6 +14,24 @@ def zero_field(x, y, t):
 
 def runaway(x, y, t):
     return np.full_like(x, 50.0), np.zeros_like(y)
+
+
+def plain_velocity(x, y, t, params):
+    s = params.epsilon * np.sin(params.omega * t)
+    f = s * x ** 2 + (1.0 - 2.0 * s) * x
+    dfdx = 2.0 * s * x + 1.0 - 2.0 * s
+    vx = -np.pi * params.amplitude * np.sin(np.pi * f) * np.cos(np.pi * y)
+    vy = np.pi * params.amplitude * np.cos(np.pi * f) * np.sin(np.pi * y) * dfdx
+    return vx, vy
+
+
+def plain_rk4_step(x, y, t, h, field):
+    k1x, k1y = field(x, y, t)
+    k2x, k2y = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
+    k3x, k3y = field(x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h)
+    k4x, k4y = field(x + h * k3x, y + h * k3y, t + h)
+    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y))
 
 
 class TestVelocity:
@@ -33,6 +54,20 @@ class TestVelocity:
         for t in [0.0, 2.7]:
             vx, _ = velocity(np.ones_like(ys), ys, t, params)
             np.testing.assert_allclose(vx, 0.0, atol=1e-14)
+
+    def test_bits_match_plain_expressions(self):
+        # the in-place evaluation keeps every rounding step of the formulas
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-0.05, 2.05, 5000), rng.uniform(-0.05, 1.05, 5000)
+        for params in [GyreParams(), GyreParams(amplitude=0.3, epsilon=0.1)]:
+            field = lambda x, y, t: velocity(x, y, t, params)
+            for t in [0.0, 1.3, 7.9]:
+                for got, want in zip(velocity(x, y, t, params),
+                                     plain_velocity(x, y, t, params)):
+                    assert np.array_equal(got, want)
+                for got, want in zip(gyre._rk4_step(x, y, t, 0.01, field),
+                                     plain_rk4_step(x, y, t, 0.01, field)):
+                    assert np.array_equal(got, want)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +143,13 @@ class TestUlam:
         np.testing.assert_array_equal(counts.toarray(),
                                       grid.particles_per_box * np.eye(grid.n_boxes))
 
+    def test_counts_are_canonical_int64_csr(self):
+        grid = UlamGrid(nx=10, ny=5, particles_per_box=20, step=0.05)
+        counts = ulam_counts(grid, GyreParams(), 0.0, seed=0, noise=0.02)
+        assert counts.format == "csr"
+        assert counts.dtype == np.int64
+        assert counts.has_sorted_indices and counts.has_canonical_format
+
     def test_deterministic_given_seed(self):
         grid = UlamGrid(nx=10, ny=5, particles_per_box=10, step=0.05)
         a = ulam_counts(grid, GyreParams(), 2.0, seed=3)
@@ -144,3 +186,33 @@ class TestUlam:
         assert fuzzy.count_nonzero() > sharp.count_nonzero()
         rows = np.asarray(fuzzy.sum(axis=1)).ravel()
         np.testing.assert_allclose(rows, grid.particles_per_box)
+
+
+class TestGyreGraph:
+    GRID = UlamGrid(nx=8, ny=4, particles_per_box=5, step=0.05)
+
+    def test_same_bits_for_any_worker_count(self, monkeypatch):
+        monkeypatch.setattr(gyre.os, "cpu_count", lambda: 2)
+        threaded = gyre_graph(self.GRID, M=4, seed=3)
+        monkeypatch.setattr(gyre.os, "cpu_count", lambda: 1)
+        serial = gyre_graph(self.GRID, M=4, seed=3)
+        for t, (a, b) in enumerate(zip(threaded.snapshots, serial.snapshots)):
+            # the reference: view t built on its own
+            ref = ulam_counts(self.GRID, GyreParams(), float(t), 3,
+                              noise=gyre.DEFAULT_GYRE_NOISE).astype(float)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+                assert np.array_equal(getattr(a, attr), getattr(ref, attr))
+
+    def test_failing_view_stops_the_pool(self, monkeypatch):
+        before = threading.active_count()
+        monkeypatch.setattr(gyre, "velocity",
+                            lambda x, y, t, params: runaway(x, y, t))
+        with pytest.raises(StepTooLarge):
+            gyre_graph(self.GRID, M=4)
+        assert threading.active_count() == before
+
+    def test_needs_two_views(self):
+        for M in (0, 1):
+            with pytest.raises(GraphFormatError):
+                gyre_graph(self.GRID, M=M)
