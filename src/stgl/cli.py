@@ -15,9 +15,8 @@ import time
 
 from . import benchmarks, gyre as gyre_mod, io, supra as supra_mod, walks
 from .clustering import score_against, spectral_cluster
-from .errors import (ConvergenceFailure, DensityVanished, GraphFormatError,
-                     InsufficientSpatialEigenvectors, StepTooLarge, StglError,
-                     UnknownGenerator, ZeroOutDegree)
+from .errors import (GraphFormatError, InsufficientSpatialEigenvectors,
+                     StglError, UnknownGenerator)
 from .laplacian import assemble_system, eigendecompose
 from .operators import propagate_densities
 
@@ -91,6 +90,15 @@ def _write_boxes(path, grid):
     })
 
 
+def _save_pipeline(out, result, **results):
+    """Write labels.csv and spectrum.csv; returns ``results`` plus the spectrum."""
+    emb = result.embedding
+    io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
+    io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues, emb.tags)
+    return {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags),
+            "selection": [i + 1 for i in result.selected.selection], **results}
+
+
 def cmd_generate(args):
     graph, labels, info = _generate(args.name, args.seed)
     out = _resolve_out(args)
@@ -113,21 +121,13 @@ def cmd_cluster(args):
                               self_loops=not args.no_self_loops, truth=labels)
     timings["pipeline_s"] = time.perf_counter() - start
 
-    emb = result.embedding
-    io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
-    io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues, emb.tags)
+    results = _save_pipeline(out, result, inertia=result.clustering.inertia,
+                             ari_per_view=result.ari_per_view)
     if args.export_vectors:
-        io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), emb)
+        io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), result.embedding)
     config = {"command": "cluster", "k": args.k, "seed": args.seed,
               "restarts": args.restarts, "self_loops": not args.no_self_loops,
               **source}
-    results = {
-        "eigenvalues": emb.eigenvalues,
-        "tags": list(emb.tags),
-        "selection": [i + 1 for i in result.selected.selection],
-        "inertia": result.clustering.inertia,
-        "ari_per_view": result.ari_per_view,
-    }
     io.write_report(os.path.join(out, "report.json"), config, results, timings)
     if result.ari_per_view is not None:
         ari = result.ari_per_view
@@ -221,22 +221,15 @@ def cmd_gyre(args):
     result = spectral_cluster(graph, args.k, seed=args.seed,
                               restarts=args.restarts, self_loops=False)
     timings["pipeline_s"] = time.perf_counter() - start
-    emb = result.embedding
-    io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
-    io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues, emb.tags)
     boundary = gyre_mod.boundary_columns(result.clustering.labels, grid)
+    amplitude = float((boundary.max() - boundary.min()) / 2.0)
+    results = _save_pipeline(out, result, boundary_x=boundary,
+                             boundary_amplitude=amplitude)
     io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"],
                   [[t + 1, repr(float(b))] for t, b in enumerate(boundary)])
     config = {"command": "gyre", "k": args.k, "views": args.views,
               "gen_seed": args.gen_seed, "seed": args.seed,
               "restarts": args.restarts}
-    results = {
-        "eigenvalues": emb.eigenvalues,
-        "tags": list(emb.tags),
-        "selection": [i + 1 for i in result.selected.selection],
-        "boundary_x": boundary,
-        "boundary_amplitude": float((boundary.max() - boundary.min()) / 2.0),
-    }
     io.write_report(os.path.join(out, "report.json"), config, results, timings)
     print(f"boundary oscillates in [{boundary.min():.3f}, {boundary.max():.3f}]; "
           f"wrote artifacts to {out}")
@@ -340,14 +333,10 @@ def main(argv=None):
     except (GraphFormatError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ConvergenceFailure, DensityVanished, ZeroOutDegree,
-            StepTooLarge) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (UnknownGenerator, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except StglError as err:
+    except StglError as err:  # ConvergenceFailure, DensityVanished, StepTooLarge, ...
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -75,11 +75,12 @@ class TimeEvolvingGraph:
         return TimeEvolvingGraph(n=self.n, M=self.M, snapshots=snaps,
                                  directed=self.directed)
 
-    def edge_records(self):
-        """Yield (t, i, j, w) records, t 1-based; undirected edges once (i <= j)."""
-        for t, W in enumerate(self.snapshots, start=1):
-            coo = W.tocoo()
-            for i, j, w in zip(coo.row, coo.col, coo.data):
-                if not self.directed and j < i:
-                    continue
-                yield t, int(i), int(j), float(w)
+    def edge_arrays(self):
+        """(t, i, j, w) arrays of the stored edges, t 1-based, view by view in
+        CSR order; undirected edges once (i <= j) and w as float64."""
+        coos = [W.tocoo() for W in self.snapshots]
+        t = np.repeat(np.arange(1, self.M + 1), [coo.nnz for coo in coos])
+        i, j, w = (np.concatenate([getattr(coo, name) for coo in coos])
+                   for name in ("row", "col", "data"))
+        keep = slice(None) if self.directed else i <= j
+        return t[keep], i[keep], j[keep], w[keep].astype(float)

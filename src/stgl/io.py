@@ -11,8 +11,10 @@ writers go through an atomic temp-file-plus-rename.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from io import StringIO
@@ -24,17 +26,7 @@ from .errors import GraphFormatError
 from .graph import TimeEvolvingGraph
 
 
-def _numpy_to_json(obj):
-    """``json.dumps`` hook for the numpy values a payload may hold."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def atomic_write_text(path, text):
-    path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -49,47 +41,68 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, payload):
+    # numpy arrays and scalars turn into plain Python values through tolist()
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                       default=_numpy_to_json) + "\n")
+                                       default=lambda value: value.tolist()) + "\n")
+
+
+def _json_rows(specs, columns):
+    """``json.dumps(indent=2)`` text, at depth 1, of the rows ``zip(*columns)``."""
+    template = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
+    rows = ",\n".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
+    return f"[\n{rows}\n  ]" if rows else "[]"
 
 
 def save_graph(path, graph: TimeEvolvingGraph, labels=None):
-    """Write a graph (and optional ground-truth labels) as JSON."""
-    payload = {
-        "n": graph.n,
-        "M": graph.M,
-        "directed": graph.directed,
-        "edges": [[t, i, j, w] for t, i, j, w in graph.edge_records()],
-    }
+    """Write a graph (and optional ground-truth labels) as JSON: the text of
+    ``json.dumps(payload, indent=2, sort_keys=True)``, with its ``%r`` floats."""
+    fields = [("M", graph.M), ("directed", json.dumps(bool(graph.directed))),
+              ("edges", _json_rows(["%d", "%d", "%d", "%r"], graph.edge_arrays()))]
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (graph.M, graph.n):
             raise ValueError(f"labels must be {(graph.M, graph.n)}")
-        payload["labels"] = labels.tolist()
-    write_json(path, payload)
+        fields.append(("labels", _json_rows(["%d"] * graph.n, labels.T)))
+    body = ",\n".join(f'  "{key}": {value}' for key, value in fields + [("n", graph.n)])
+    atomic_write_text(path, "{\n" + body + "\n}\n")
 
 
-def _edge_records(edges):
-    """Parse the ``edges`` field into (t, i, j, w) number tuples."""
-    try:
-        for t, i, j, w in edges:
-            if not (type(t) is type(i) is type(j) is int
-                    and type(w) in (int, float)):
-                raise TypeError(f"record {[t, i, j, w]!r} is not "
-                                "[integer, integer, integer, number]")
-            yield t, i, j, float(w)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise GraphFormatError(f"edges must be a list of [t, i, j, w] number "
-                               f"records: {err}") from err
+def _edge_columns(edges):
+    """The t, i, j, w columns of ``edges``, type-checked by C-level reductions."""
+    if type(edges) is list and set(map(type, edges)) <= {list} \
+            and set(map(len, edges)) <= {4}:
+        columns = [list(map(operator.itemgetter(c), edges)) for c in range(4)]
+        if set(map(type, itertools.chain(*columns[:3]))) <= {int} \
+                and set(map(type, columns[3])) <= {int, float}:
+            try:
+                return [np.array(col, dtype=float if c == 3 else np.int64)
+                        for c, col in enumerate(columns)]
+            except OverflowError as err:
+                raise GraphFormatError(f"edges must be a list of [t, i, j, w] "
+                                       f"number records: {err}") from err
+    bad = edges if type(edges) is not list else next(
+        r for r in edges if not (type(r) is list and len(r) == 4 and type(r[0])
+                                 is type(r[1]) is type(r[2]) is int
+                                 and type(r[3]) in (int, float)))
+    raise GraphFormatError("edges must be a list of [t, i, j, w] number records, "
+                           f"got {bad!r}")
+
+
+def _reject_first(bad, message):
+    """Format error ``message(k)`` for the first flagged record k, if any."""
+    if bad.any():
+        raise GraphFormatError(message(bad.argmax()))
 
 
 def load_graph(path):
     """Read a graph JSON file; returns (graph, labels-or-None)."""
-    with open(path) as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise GraphFormatError(f"not valid JSON: {err}") from err
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as err:  # decode errors are ValueErrors
+        raise GraphFormatError(f"not a readable JSON file: {err}") from err
     try:
         n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
     except (KeyError, TypeError) as err:
@@ -99,31 +112,27 @@ def load_graph(path):
         raise GraphFormatError("header fields n and M must be integers, n "
                                "positive, and directed a boolean")
 
-    entries = [dict() for _ in range(M)]
-    for t, i, j, w in _edge_records(edges):
-        if not 1 <= t <= M:
-            raise GraphFormatError(f"view {t} out of range [1, {M}]")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphFormatError(f"vertex pair ({i}, {j}) out of range [0, {n})")
-        if not 0 < w < math.inf:
-            raise GraphFormatError(f"edge weight must be positive and finite, "
-                                   f"got {w}")
-        keys = [(i, j)] if directed or i == j else [(i, j), (j, i)]
-        for key in keys:
-            old = entries[t - 1].get(key)
-            if old is not None and old != w:
-                raise GraphFormatError(f"conflicting duplicate edge {key} at view {t}")
-            entries[t - 1][key] = w
-
-    snapshots = []
-    for view in entries:
-        if view:
-            rows, cols = zip(*view.keys())
-            W = sparse.coo_array((list(view.values()), (rows, cols)), shape=(n, n))
-        else:
-            W = sparse.coo_array((n, n))
-        snapshots.append(sparse.csr_array(W))
-    graph = TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots), directed=directed)
+    t, i, j, w = _edge_columns(edges)
+    _reject_first((t < 1) | (t > M), lambda k: f"view {t[k]} out of range [1, {M}]")
+    _reject_first((i < 0) | (i >= n) | (j < 0) | (j >= n),
+                  lambda k: f"vertex pair ({i[k]}, {j[k]}) out of range [0, {n})")
+    _reject_first(~((w > 0) & (w < math.inf)), lambda k: "edge weight must be "
+                  f"positive and finite, got {float(w[k])}")
+    if not directed:
+        off = i != j
+        t, i, j, w = (np.concatenate([a, b[off]])
+                      for a, b in ((t, t), (i, j), (j, i), (w, w)))
+    order = np.lexsort((j, i, t))
+    t, i, j, w = t[order], i[order], j[order], w[order]
+    # t[0] >= 1, so the first record always starts a new (t, i, j) key
+    new = np.diff(np.stack([t, i, j]), axis=1, prepend=0).any(axis=0)
+    _reject_first(~new & (w != np.r_[w[:1], w[:-1]]), lambda k: "conflicting "
+                  f"duplicate edge {(int(i[k]), int(j[k]))} at view {t[k]}")
+    t, i, j, w = t[new], i[new], j[new], w[new]
+    cuts = np.searchsorted(t, np.arange(1, M + 2))
+    snapshots = tuple(sparse.coo_array((w[a:b], (i[a:b], j[a:b])), shape=(n, n))
+                      .tocsr() for a, b in itertools.pairwise(cuts))
+    graph = TimeEvolvingGraph(n=n, M=M, snapshots=snapshots, directed=directed)
 
     labels = doc.get("labels")
     if labels is not None:
@@ -155,20 +164,21 @@ def save_spectrum_csv(path, eigenvalues, tags):
 
 def save_eigenvectors_csv(path, embedding):
     """Columns: eig_index (1-based), view (1-based), vertex, value."""
-    rows = []
-    for idx, folded in enumerate(embedding.folded, start=1):
-        for t in range(embedding.M):
-            for v in range(embedding.n):
-                rows.append([idx, t + 1, v, repr(float(folded[t, v]))])
-    write_csv(path, ["eig_index", "view", "vertex", "value"], rows)
+    folded = embedding.folded
+    index = np.indices(folded.shape).reshape(3, -1) + [[1], [1], [0]]
+    rows = zip(*index.tolist(), folded.astype(float).ravel().tolist())
+    # write_csv's bytes: no value needs quoting, and %r of a float is its repr
+    atomic_write_text(path, "eig_index,view,vertex,value\r\n"
+                      + "".join(map("%d,%d,%d,%r\r\n".__mod__, rows)))
 
 
 def save_labels_csv(path, labels):
     """Columns: view (1-based), vertex, label."""
     labels = np.asarray(labels)
-    rows = [[t + 1, v, int(labels[t, v])]
-            for t in range(labels.shape[0]) for v in range(labels.shape[1])]
-    write_csv(path, ["view", "vertex", "label"], rows)
+    index = np.indices(labels.shape).reshape(2, -1) + [[1], [0]]
+    rows = zip(*index.tolist(), labels.ravel().tolist())
+    atomic_write_text(path, "view,vertex,label\r\n"
+                      + "".join(map("%d,%d,%d\r\n".__mod__, rows)))
 
 
 def write_report(path, config, results, timings):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from stgl import clustering, laplacian, save_graph
 from stgl.cli import main
 
-from util import arpack_two_converged, random_teg
+from util import CORRUPTIONS, arpack_two_converged, corrupt, random_teg
 
 
 def run(argv):
@@ -105,6 +105,20 @@ class TestCluster:
         bad.write_text("{]")
         assert run(["cluster", "--input", str(bad), "--k", "2",
                     "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_input_is_format_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"n": 2, "M": 2, "directed": false, '
+                            b'"edges": [], "x": "\xff\xfe"}')
+        code = run(["cluster", "--input", str(bad), "--k", "2",
+                    "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     @pytest.mark.parametrize("directed,edges", [
         ("true", "[[1, 0, 1, NaN]]"),
@@ -287,56 +301,6 @@ class TestWalk:
         code = run(["walk", "--input", str(linegraph_file), "--vertices", " ",
                     "--out", str(tmp_path)])
         assert code == 2
-
-
-CORRUPTIONS = ("drop-key", "wrong-type", "nan", "inf", "negative",
-               "fractional", "truncate", "duplicate", "view-range",
-               "vertex-range")
-
-
-def corrupt(text, kind, draw):
-    """One corruption of ``kind`` applied to a saved graph file's text.
-
-    Header ``n`` and ``M`` never grow: every corruption of them yields a
-    non-integer or a value no larger than before.
-    """
-    if kind == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
-    doc = json.loads(text)
-    if kind == "drop-key":
-        del doc[draw(st.sampled_from(sorted(doc)))]
-        return json.dumps(doc)
-    edges = doc["edges"]
-    if not edges:
-        edges.append([1, 0, 0, 1.0])
-    record = draw(st.sampled_from(edges))
-    if kind == "duplicate":
-        edges.append(record[:3] + [2.0 * record[3] + 1.0])
-    elif kind == "view-range":
-        record[0] = draw(st.sampled_from([0, -1, doc["M"] + 1, 10**12]))
-    elif kind == "vertex-range":
-        record[draw(st.sampled_from([1, 2]))] = draw(
-            st.sampled_from([-1, doc["n"], 10**12]))
-    else:
-        slots = [(doc, "n"), (doc, "M"), (record, 0), (record, 1),
-                 (record, 2), (record, 3)]
-        if kind == "wrong-type":
-            slots.append((doc, "directed"))
-        if "labels" in doc:
-            slots.append((draw(st.sampled_from(doc["labels"])), 0))
-        owner, key = draw(st.sampled_from(slots))
-        if kind == "wrong-type":
-            other = 1 if key == "directed" else True
-            owner[key] = draw(st.sampled_from(["3", None, other, [], {}]))
-        elif kind == "nan":
-            owner[key] = float("nan")
-        elif kind == "inf":
-            owner[key] = draw(st.sampled_from([float("inf"), float("-inf")]))
-        elif kind == "negative":
-            owner[key] = -owner[key] - 1
-        else:
-            owner[key] += 0.5
-    return json.dumps(doc)
 
 
 class TestCorruptedInput:

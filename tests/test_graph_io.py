@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
-from stgl import (GraphFormatError, TimeEvolvingGraph, gen_line_graph,
-                  load_graph, save_graph, static_blocks)
-from stgl.io import write_csv, write_report
+from stgl import (GraphFormatError, SpectralEmbedding, TimeEvolvingGraph,
+                  gen_benchmark1, gen_benchmark2, gen_line_graph, load_graph,
+                  save_graph, static_blocks)
+from stgl.io import (save_eigenvectors_csv, save_labels_csv, write_csv,
+                     write_report)
+
+from util import (CORRUPTIONS, corrupt, random_teg, reference_graph_payload,
+                  reference_load_graph)
 
 
 class TestTimeEvolvingGraph:
@@ -40,12 +48,12 @@ class TestTimeEvolvingGraph:
         looped = g.with_self_loops()
         np.testing.assert_allclose(looped.dense(1) - g.dense(1), np.eye(6))
 
-    def test_edge_records_undirected_once(self):
+    def test_edge_arrays_undirected_once(self):
         g = gen_line_graph()
-        records = list(g.edge_records())
-        assert all(i <= j for _, i, j, _ in records)
+        t, i, j, w = g.edge_arrays()
+        assert (i <= j).all()
         # 5 chain edges per view, 4 views
-        assert len(records) == 20
+        assert len(t) == len(i) == len(j) == len(w) == 20
 
 
 class TestGraphFiles:
@@ -127,6 +135,153 @@ class TestGraphFiles:
         np.testing.assert_allclose(g.dense(1), [[0.0, 2.5], [2.5, 0.0]])
 
 
+def _load_or_none(loader, path):
+    try:
+        return loader(path)
+    except GraphFormatError:
+        return None
+
+
+def assert_same_load(got, want):
+    """Bitwise-equal CSR arrays (values and dtypes) and labels."""
+    (g, labels), (h, ref_labels) = got, want
+    assert (g.n, g.M, g.directed) == (h.n, h.M, h.directed)
+    for W, V in zip(g.snapshots, h.snapshots, strict=True):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(W, name), getattr(V, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (labels is None) == (ref_labels is None)
+    if labels is not None:
+        assert labels.dtype == ref_labels.dtype
+        assert np.array_equal(labels, ref_labels)
+
+
+class TestLoaderAgainstReference:
+    """``load_graph`` against the per-record loader in ``tests/util.py``."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_labels=st.booleans(),
+           kind=st.none() | st.sampled_from(CORRUPTIONS), data=st.data())
+    def test_same_graph_or_both_reject(self, seed, with_labels, kind, data):
+        graph = random_teg(seed, n_max=20, M_max=5)
+        labels = None
+        if with_labels:
+            labels = np.random.default_rng(seed).integers(0, 3, (graph.M, graph.n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "graph.json")
+            save_graph(path, graph, labels)
+            if kind is not None:
+                with open(path) as handle:
+                    text = corrupt(handle.read(), kind, data.draw)
+                with open(path, "w") as handle:
+                    handle.write(text)
+            got = _load_or_none(load_graph, path)
+            want = _load_or_none(reference_load_graph, path)
+        assert (got is None) == (want is None), kind
+        if got is not None:
+            assert_same_load(got, want)
+
+    @pytest.mark.parametrize("edges", [
+        [[1, 0, 1]], [[1, 0, 1, 1.0, 2]], [{"t": 1, "i": 0, "j": 1, "w": 2}],
+        ["abcd"], [[1, 0, 1, True]], [[True, 0, 1, 1.0]], [[1, 0, 1, 1.0], 7],
+        [[2**70, 0, 1, 1.0]], [[1, -2**70, 1, 1.0]], [[1, 0, 1, 10**400]],
+        [[1, 0, 1, 1.0], [1, 0, 0, 2.0], [1, 1, 0, 3.0]],
+    ], ids=["short", "long", "dict", "string", "bool-weight", "bool-view",
+            "trailing-int", "huge-view", "huge-vertex", "huge-weight",
+            "mirror-conflict"])
+    def test_malformed_records_rejected_by_both(self, tmp_path, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "M": 2, "directed": False,
+                                    "edges": edges}))
+        for loader in (load_graph, reference_load_graph):
+            with pytest.raises(GraphFormatError):
+                loader(path)
+
+    def test_duplicates_collapse_like_reference(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "n": 3, "M": 3, "directed": False,
+            "edges": [[2, 1, 0, 2.0], [2, 0, 1, 2], [2, 2, 2, 1.5],
+                      [2, 2, 2, 1.5], [1, 0, 2, 0.5]]}))
+        assert_same_load(load_graph(path), reference_load_graph(path))
+
+    @pytest.mark.parametrize("edges,message", [
+        ([[1, 0, 1, 1.0], [1, 0, 1, "x"]], r"records, got \[1, 0, 1, 'x'\]"),
+        ([[1, 0, 1, 1.0], [1, 0, 1]], r"records, got \[1, 0, 1\]"),
+        ([[1, 0, 1, 1.0], [3, 0, 1, 1.0], [0, 0, 1, 1.0]], r"view 3 out of range"),
+        ([[1, 0, 1, 1.0], [1, 0, 2, 1.0]], r"vertex pair \(0, 2\)"),
+        ([[1, 0, 1, 1.0], [1, 0, 0, -1]], r"got -1\.0"),
+        ([[2, 1, 0, 1.0], [2, 0, 1, 2.0]], r"conflicting duplicate edge \(0, 1\) at view 2"),
+    ])
+    def test_message_names_first_offending_record(self, tmp_path, edges, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "M": 2, "directed": False,
+                                    "edges": edges}))
+        with pytest.raises(GraphFormatError, match=message):
+            load_graph(path)
+
+    def test_benchmarks_load_like_reference(self, tmp_path):
+        path = tmp_path / "g.json"
+        for generate in (gen_benchmark1, gen_benchmark2):
+            save_graph(path, *generate(0))
+            assert_same_load(load_graph(path), reference_load_graph(path))
+
+
+def _graph_with_empty_view(seed):
+    graph = random_teg(seed, n_max=15, M_max=4)
+    snaps = list(graph.snapshots)
+    snaps[1] = sparse.csr_array((graph.n, graph.n))
+    return TimeEvolvingGraph(n=graph.n, M=graph.M, snapshots=tuple(snaps),
+                             directed=graph.directed)
+
+
+def _integer_weight_graph():
+    W = sparse.csr_array(np.array([[0, 2, 0], [2, 0, 7], [0, 7, 1]]))
+    return TimeEvolvingGraph(n=3, M=2, snapshots=(W, W), directed=False)
+
+
+class TestSaveGraphBytes:
+    """``save_graph`` writes exactly ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def assert_dumps_bytes(path, graph, labels=None):
+        save_graph(path, graph, labels)
+        payload = reference_graph_payload(graph, labels)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs(self, tmp_path, seed):
+        graph = random_teg(seed)
+        labels = (np.random.default_rng(seed).integers(-2, 5, (graph.M, graph.n))
+                  if seed % 2 else None)
+        self.assert_dumps_bytes(tmp_path / "g.json", graph, labels)
+
+    def test_empty_view_and_integer_weights(self, tmp_path):
+        for seed in range(2):
+            graph = _graph_with_empty_view(seed)
+            assert graph.snapshots[1].nnz == 0
+            self.assert_dumps_bytes(tmp_path / "e.json", graph)
+        self.assert_dumps_bytes(tmp_path / "i.json", _integer_weight_graph())
+
+    def test_no_edges(self, tmp_path):
+        graph = TimeEvolvingGraph.from_dense([np.zeros((2, 2))] * 2)
+        self.assert_dumps_bytes(tmp_path / "z.json", graph, np.zeros((2, 2)))
+
+    def test_generators(self, tmp_path):
+        self.assert_dumps_bytes(tmp_path / "b1.json", *gen_benchmark1(0))
+        self.assert_dumps_bytes(tmp_path / "b2.json", *gen_benchmark2(0))
+        self.assert_dumps_bytes(tmp_path / "l.json", gen_line_graph())
+
+
+def _csv_writer_bytes(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
 class TestWriters:
     def test_csv_bytes_and_no_temp_files(self, tmp_path):
         rows = [[1, 0, "0.5"], [2, 1, 'a "quoted", field']]
@@ -138,6 +293,33 @@ class TestWriters:
         assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
         assert b"\r\n" in (tmp_path / "t.csv").read_bytes()
         assert os.listdir(tmp_path) == ["t.csv"]
+
+
+    def test_labels_csv_bytes(self, tmp_path):
+        labels = np.array([[0, 1, 1, 2], [2, 2, 0, -1], [1, 0, 0, 0]])
+        save_labels_csv(tmp_path / "labels.csv", labels)
+        rows = [[t + 1, v, int(labels[t, v])]
+                for t in range(labels.shape[0]) for v in range(labels.shape[1])]
+        assert (tmp_path / "labels.csv").read_bytes() == _csv_writer_bytes(
+            ["view", "vertex", "label"], rows)
+
+    def test_eigenvectors_csv_bytes(self, tmp_path):
+        n, M, k = 3, 4, 5
+        vectors = np.random.default_rng(0).standard_normal((M * n, k))
+        vectors[:4, 1] = 0.1                    # one value, repeated
+        vectors[4:6, 2] = [0.0, -0.0]           # equal, but printed apart
+        vectors[6, 3] = 1e-300
+        vectors[7, 3] = 12345678.9
+        embedding = SpectralEmbedding(n=n, M=M, eigenvalues=np.arange(k, 0, -1.0),
+                                      vectors=vectors, tags=("spatial",) * k)
+        save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
+        rows = [[idx, t + 1, v, repr(float(folded[t, v]))]
+                for idx, folded in enumerate(embedding.folded, start=1)
+                for t in range(M) for v in range(n)]
+        data = (tmp_path / "vec.csv").read_bytes()
+        assert data == _csv_writer_bytes(["eig_index", "view", "vertex", "value"],
+                                         rows)
+        assert b",0.0\r\n" in data and b",-0.0\r\n" in data
 
 
 class TestReports:

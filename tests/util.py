@@ -1,10 +1,15 @@
 """Shared helpers for the test suite."""
 
+import json
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from stgl import TimeEvolvingGraph, assemble_system, propagate_densities
+from stgl import (GraphFormatError, TimeEvolvingGraph, assemble_system,
+                  propagate_densities)
 
 
 def random_teg(seed, n_max=50, M_max=6, density=0.25):
@@ -134,3 +139,141 @@ def arpack_two_converged(A, k, **kwargs):
     """Stands in for ``eigsh``: fails with two converged eigenpairs."""
     N = A.shape[0]
     raise ArpackNoConvergence("no convergence", np.zeros(2), np.zeros((N, 2)))
+
+
+def _reference_edge_records(edges):
+    """Parse the ``edges`` field into (t, i, j, w) number tuples."""
+    try:
+        for t, i, j, w in edges:
+            if not (type(t) is type(i) is type(j) is int
+                    and type(w) in (int, float)):
+                raise TypeError(f"record {[t, i, j, w]!r} is not "
+                                "[integer, integer, integer, number]")
+            yield t, i, j, float(w)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise GraphFormatError(f"edges must be a list of [t, i, j, w] number "
+                               f"records: {err}") from err
+
+
+def reference_load_graph(path):
+    """The per-record graph loader: one dict of entries per view.
+
+    Checks and mirrors each record in a Python loop and builds each view
+    from its dict, so it shares no array code with ``stgl.load_graph``.
+    """
+    with open(path) as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise GraphFormatError(f"not valid JSON: {err}") from err
+    try:
+        n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
+    except (KeyError, TypeError) as err:
+        raise GraphFormatError(f"missing or malformed header field: {err}") from err
+    if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
+        raise GraphFormatError("header fields n and M must be integers, n "
+                               "positive, and directed a boolean")
+
+    entries = [dict() for _ in range(M)]
+    for t, i, j, w in _reference_edge_records(edges):
+        if not 1 <= t <= M:
+            raise GraphFormatError(f"view {t} out of range [1, {M}]")
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphFormatError(f"vertex pair ({i}, {j}) out of range [0, {n})")
+        if not 0 < w < math.inf:
+            raise GraphFormatError(f"edge weight must be positive and finite, "
+                                   f"got {w}")
+        keys = [(i, j)] if directed or i == j else [(i, j), (j, i)]
+        for key in keys:
+            old = entries[t - 1].get(key)
+            if old is not None and old != w:
+                raise GraphFormatError(f"conflicting duplicate edge {key} at view {t}")
+            entries[t - 1][key] = w
+
+    snapshots = []
+    for view in entries:
+        if view:
+            rows, cols = zip(*view.keys())
+            W = sparse.coo_array((list(view.values()), (rows, cols)), shape=(n, n))
+        else:
+            W = sparse.coo_array((n, n))
+        snapshots.append(sparse.csr_array(W))
+    graph = TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots), directed=directed)
+
+    labels = doc.get("labels")
+    if labels is not None:
+        if not (isinstance(labels, list) and len(labels) == M
+                and all(isinstance(row, list) and len(row) == n
+                        and all(type(v) is int for v in row) for row in labels)):
+            raise GraphFormatError(f"labels must be {M} lists of {n} integers")
+        try:
+            labels = np.array(labels, dtype=int)
+        except OverflowError as err:
+            raise GraphFormatError(f"labels must be integers: {err}") from err
+    return graph, labels
+
+
+def reference_graph_payload(graph, labels=None):
+    """The graph file's JSON document, built record by record from each
+    view's COO entries (undirected edges once, i <= j)."""
+    edges = []
+    for t, W in enumerate(graph.snapshots, start=1):
+        coo = W.tocoo()
+        for i, j, w in zip(coo.row, coo.col, coo.data):
+            if graph.directed or i <= j:
+                edges.append([t, int(i), int(j), float(w)])
+    payload = {"n": graph.n, "M": graph.M, "directed": graph.directed,
+               "edges": edges}
+    if labels is not None:
+        payload["labels"] = np.asarray(labels, dtype=int).tolist()
+    return payload
+
+
+CORRUPTIONS = ("drop-key", "wrong-type", "nan", "inf", "negative",
+               "fractional", "truncate", "duplicate", "view-range",
+               "vertex-range")
+
+
+def corrupt(text, kind, draw):
+    """One corruption of ``kind`` applied to a saved graph file's text.
+
+    Header ``n`` and ``M`` never grow: every corruption of them yields a
+    non-integer or a value no larger than before.
+    """
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    if kind == "drop-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return json.dumps(doc)
+    edges = doc["edges"]
+    if not edges:
+        edges.append([1, 0, 0, 1.0])
+    record = draw(st.sampled_from(edges))
+    if kind == "duplicate":
+        edges.append(record[:3] + [2.0 * record[3] + 1.0])
+    elif kind == "view-range":
+        record[0] = draw(st.sampled_from([0, -1, doc["M"] + 1, 10**12]))
+    elif kind == "vertex-range":
+        record[draw(st.sampled_from([1, 2]))] = draw(
+            st.sampled_from([-1, doc["n"], 10**12]))
+    else:
+        slots = [(doc, "n"), (doc, "M"), (record, 0), (record, 1),
+                 (record, 2), (record, 3)]
+        if kind == "wrong-type":
+            slots.append((doc, "directed"))
+        if "labels" in doc:
+            slots.append((draw(st.sampled_from(doc["labels"])), 0))
+        owner, key = draw(st.sampled_from(slots))
+        if kind == "wrong-type":
+            other = 1 if key == "directed" else True
+            owner[key] = draw(st.sampled_from(["3", None, other, [], {}]))
+        elif kind == "nan":
+            owner[key] = float("nan")
+        elif kind == "inf":
+            owner[key] = draw(st.sampled_from([float("inf"), float("-inf")]))
+        elif kind == "negative":
+            owner[key] = -owner[key] - 1
+        else:
+            owner[key] += 0.5
+    return json.dumps(doc)
