@@ -196,10 +196,13 @@ def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
                      self_loops=True, truth=None) -> PipelineResult:
     """Run the full pipeline: operators, C, eigenvectors, selection, k-means.
 
-    The k + M + 3 dominant eigenpairs are computed. At most M - 1 of them
-    are temporal, so they hold k non-temporal ones unless negative
-    eigenvalues cut the list short. C has N - M + 1 non-temporal
-    eigenvectors in all, and a larger k is rejected before any solve.
+    The k + M + 3 dominant eigenpairs are computed by ``eigendecompose``;
+    above the dense cutoff their spatial part is one Lanczos solve on the
+    odd-view Gram matrix of the view coupling, of size n floor(M / 2). At
+    most M - 1 of them are temporal, so they hold k non-temporal ones
+    unless negative eigenvalues cut the list short. C has N - M + 1
+    non-temporal eigenvectors in all, and a larger k is rejected before
+    any solve.
     """
     ops = propagate_densities(graph, self_loops=self_loops)
     system = assemble_system(ops)

@@ -86,6 +86,20 @@ class SpatioTemporalSystem:
             raise StglError("symmetrized system is not symmetric")
         return sparse.csr_array((H + H.T) * 0.5)
 
+    def coupling(self):
+        """X, the even-view rows and odd-view columns of B^{-1/2} A B^{-1/2}.
+
+        A couples only adjacent views, so with the even views (0, 2, ...)
+        ordered first the symmetrized matrix is [[0, X], [X^T, 0]]. X is
+        n ceil(M/2) x n floor(M/2), sliced from A without forming that
+        matrix.
+        """
+        views = np.arange(self.size) // self.n
+        even, odd = np.flatnonzero(views % 2 == 0), np.flatnonzero(views % 2 == 1)
+        d = 1.0 / np.sqrt(self.B_diag)
+        return sparse.csr_array(sparse.diags_array(d[even]) @ self.A[even][:, odd]
+                                @ sparse.diags_array(d[odd]))
+
     def temporal_basis(self):
         """Per-view constants in symmetric form: (Q, T) with H Q = Q T.
 
@@ -186,14 +200,15 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
     matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition up
     to ``DENSE_EIG_CUTOFF`` and wherever a Krylov basis of 3k vectors would
     span the whole space (3k >= N); otherwise restarted Lanczos from a
-    seeded starting vector with a basis of max(3k, 20) vectors. Largest mode
-    returns eigenvalues descending, smallest mode ascending.
+    seeded starting vector with a basis of max(3k, 20) vectors. A
+    ``LinearOperator`` H always takes Lanczos, so it needs k < N. Largest
+    mode returns eigenvalues descending, smallest mode ascending.
     """
     N = H.shape[0]
     k = min(k, N)
     if k == 0:
         return np.empty(0), np.empty((N, 0))
-    if N <= DENSE_EIG_CUTOFF or 3 * k >= N:
+    if not isinstance(H, LinearOperator) and (N <= DENSE_EIG_CUTOFF or 3 * k >= N):
         Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
         if low_rank is not None:
             Q, S = low_rank
@@ -223,32 +238,82 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
     return vals, vecs
 
 
+def _coupling_eigenpairs(system, k, Q, T):
+    """The k largest spatial eigenpairs of H, from the SVD of its coupling X.
+
+    With the even views first H = [[0, X], [X^T, 0]], so every eigenpair
+    (s^2, v) of the odd-view Gram matrix X^T X with s > 0 lifts to the
+    eigenpair s, [Xv / s; v] / sqrt(2) of H. ``H Q = Q T`` gives
+    X Q_o = Q_e T_eo for the per-view constants, so the Gram matrix maps
+    the span of Q_o into itself; it is sent to -1, below the Gram spectrum
+    [0, 1]. A lifted pair with residual ||Hy - sy|| or orthonormality error
+    above 1e-8, or NaN (X has too few positive singular values off the
+    constants), raises ConvergenceFailure.
+    """
+    n, M = system.n, system.M
+    X = system.coupling()
+    XT = sparse.csr_array(X.T)  # a CSR transpose multiplies faster than CSC
+    m = X.shape[1]
+    gram = LinearOperator((m, m), dtype=float, matvec=lambda v: XT @ (X @ v))
+    Q_odd = Q.reshape(M, n, M)[1::2, :, 1::2].reshape(m, M // 2)
+    T_eo = T[0::2, 1::2]
+    w, V = symmetric_eigenpairs(gram, k, largest=True,
+                                low_rank=(Q_odd, T_eo.T @ T_eo + np.eye(M // 2)))
+    with np.errstate(all="ignore"):
+        s = np.sqrt(w)
+        XV = X @ V
+        U = XV / s
+        residual = np.sqrt((np.linalg.norm(XV - s * U, axis=0) ** 2
+                            + np.linalg.norm(XT @ U - s * V, axis=0) ** 2) / 2)
+        # a singular value near 0 can pass the residual test with a U that
+        # is neither unit nor orthogonal
+        drift = np.abs(U.T @ U - np.eye(k)).max(axis=0)
+    converged = (residual <= 1e-8) & (drift <= 1e-8)  # False for NaN
+    if not converged.all():
+        raise ConvergenceFailure(
+            f"only {converged.sum()} of {k} eigenpairs lifted from the view "
+            f"coupling are accurate to 1e-8; it has too few positive singular values",
+            converged=int(converged.sum()), requested=k)
+    Y = np.empty((M, n, k))
+    Y[0::2] = U.reshape(-1, n, k)
+    Y[1::2] = V.reshape(-1, n, k)
+    return s, Y.reshape(M * n, k) / np.sqrt(2.0)
+
+
 def eigendecompose(system: SpatioTemporalSystem, k_request, *,
                    full_spectrum=False) -> SpectralEmbedding:
     """The k_request largest eigenpairs of C, solved in symmetric form.
 
-    Solves B^{-1/2} A B^{-1/2} y = lambda y and maps back v = B^{-1/2} y, so
-    eigenvalues are real and eigenvectors B-orthonormal. The M temporal
-    pairs are built in closed form: eigenvalue cos(pi k / (M - 1)) with the
-    value cos(pi k t / (M - 1)) on view t, k = 0 being the constant vector.
-    The spatial pairs are the largest of H - Q (T + 2I) Q^T (see
+    Solves H y = B^{-1/2} A B^{-1/2} y = lambda y and maps back
+    v = B^{-1/2} y, so eigenvalues are real and eigenvectors B-orthonormal.
+    The M temporal pairs are built in closed form: eigenvalue
+    cos(pi k / (M - 1)) with the value cos(pi k t / (M - 1)) on view t,
+    k = 0 being the constant vector. The j = min(k_request, N - M) largest
+    spatial pairs are those of H - Q (T + 2I) Q^T (see
     ``SpatioTemporalSystem.temporal_basis``), which agrees with H off the
     span of Q and sends that span to -2, below the whole spectrum of H.
-    Unless ``full_spectrum`` is set, only nonnegative eigenvalues are
-    surfaced, so fewer than k_request pairs may be returned.
+    Where ``symmetric_eigenpairs`` would solve that N x N system by Lanczos
+    they are instead lifted from the j largest singular pairs of the even
+    to odd view coupling X (see ``_coupling_eigenpairs``), a Lanczos solve
+    of half the size or less; the dense branch is unchanged. Unless
+    ``full_spectrum`` is set, only nonnegative eigenvalues are surfaced, so
+    fewer than k_request pairs may be returned.
     """
     N, M = system.size, system.M
     if not 1 <= k_request <= N:
         raise ValueError(f"k_request must be in [1, {N}], got {k_request}")
-    H = system.symmetrized()
     Q, T = system.temporal_basis()
     theta = np.pi * np.arange(M) / (M - 1)
     # column k holds the temporal eigenvector's coordinates in Q
     coef = np.cos(np.outer(np.arange(M), theta))
     coef *= np.sqrt(view_weights(M))[:, None]
     coef /= np.linalg.norm(coef, axis=0)
-    spatial_vals, spatial_vecs = symmetric_eigenpairs(
-        H, min(k_request, N - M), largest=True, low_rank=(Q, T + 2.0 * np.eye(M)))
+    j = min(k_request, N - M)
+    if N > DENSE_EIG_CUTOFF and 3 * j < N:
+        spatial_vals, spatial_vecs = _coupling_eigenpairs(system, j, Q, T)
+    else:
+        spatial_vals, spatial_vecs = symmetric_eigenpairs(
+            system.symmetrized(), j, largest=True, low_rank=(Q, T + 2.0 * np.eye(M)))
     vals, vecs, order = _order_eigenpairs(
         np.concatenate([np.cos(theta), spatial_vals]),
         np.hstack([Q @ coef, spatial_vecs]), descending=True)
@@ -261,4 +326,3 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     tags = tuple(kinds[c] for c in order)
     return SpectralEmbedding(n=system.n, M=system.M, eigenvalues=vals,
                              vectors=vecs, tags=tags)
-

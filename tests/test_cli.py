@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from stgl import clustering, laplacian, save_graph
 from stgl.cli import main
 
-from util import CORRUPTIONS, arpack_two_converged, corrupt, random_teg
+from util import (CORRUPTIONS, arpack_two_converged, corrupt, random_teg,
+                  rank_one_coupling_graph)
 
 
 def run(argv):
@@ -156,6 +158,21 @@ class TestCluster:
         err = capsys.readouterr().err
         assert code == 4
         assert "converged 2 of" in err and "Traceback" not in err
+
+    def test_rank_one_coupling_is_numerical_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        path = tmp_path / "rank1.json"
+        save_graph(path, rank_one_coupling_graph())
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["cluster", "--input", str(path), "--k", "2",
+                        "--no-self-loops", "--export-vectors",
+                        "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (tmp_path / "out" / "eigenvectors.csv").exists()
 
     def test_kmeans_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
         growing = iter(range(1, 10**6))

@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
-                  assemble_system, eigendecompose, laplacian,
-                  propagate_densities, spectral_cluster, static_blocks)
+                  assemble_system, eigendecompose, gen_benchmark1,
+                  gen_benchmark2, kmeans, laplacian, propagate_densities,
+                  select_spatial, spectral_cluster, static_blocks)
 from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
 from util import (arpack_two_converged, build_system, random_teg,
+                  rank_one_coupling_graph, reference_eigendecompose,
                   reference_symmetrized, transfer_operator_C)
 
 
@@ -216,7 +220,8 @@ class TestEigendecompose:
         assert lanczos_calls == []
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
         sparse_path = eigendecompose(system, k)
-        assert lanczos_calls == [system.size]
+        # one Lanczos solve, on the odd-view Gram matrix of the coupling
+        assert lanczos_calls == [system.n * (system.M // 2)]
         np.testing.assert_allclose(sparse_path.eigenvalues,
                                    dense.eigenvalues, atol=1e-8)
         C = system.C
@@ -233,7 +238,7 @@ class TestEigendecompose:
         other = sparse.random(60, 60, density=0.2, random_state=1)
         eigsh(other + other.T, k=3)
         second = eigendecompose(system, 10)
-        assert lanczos_calls == [system.size, system.size]
+        assert lanczos_calls == [system.n * (system.M // 2)] * 2
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.vectors, second.vectors)
 
@@ -255,10 +260,10 @@ class TestEigendecompose:
         lanczos = spectral_cluster(g, 4, truth=truth)
         N = lanczos.system.size
         assert laplacian.DENSE_EIG_CUTOFF < N
-        assert lanczos_calls == [N]
+        assert lanczos_calls == [lanczos.system.n * (lanczos.system.M // 2)]
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 10 * N)
         dense = spectral_cluster(g, 4, truth=truth)
-        assert lanczos_calls == [N]
+        assert lanczos_calls == [lanczos.system.n * (lanczos.system.M // 2)]
         np.testing.assert_allclose(lanczos.embedding.eigenvalues,
                                    dense.embedding.eigenvalues, rtol=0, atol=1e-12)
         assert lanczos.embedding.tags == dense.embedding.tags
@@ -310,6 +315,100 @@ class TestTemporalDeflation:
                     assert np.abs((weights * folded).sum(axis=1)).max() <= 1e-10
                 else:
                     assert spread <= 1e-12 * np.abs(folded).max()
+
+
+def even_views_first(system):
+    """Row order of the symmetrized system with the even views first."""
+    n, M = system.n, system.M
+    views = np.r_[0:M:2, 1:M:2]
+    return (views[:, None] * n + np.arange(n)).ravel()
+
+
+def assert_matches_reference(system, k, lanczos_calls):
+    """The coupling route against the full-system deflated Lanczos oracle."""
+    k_request = min(system.size, k + system.M + 3)
+    ours = eigendecompose(system, k_request)
+    assert lanczos_calls == [system.n * (system.M // 2)]
+    ref = reference_eigendecompose(system, k_request)
+    np.testing.assert_allclose(ours.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
+    assert ours.tags == ref.tags
+    labels = [kmeans(select_spatial(emb, k).points, k, views=system.M).labels
+              for emb in (ours, ref)]
+    assert adjusted_rand_index(*labels) == 1.0
+    V = ours.vectors
+    residual = np.abs(system.C @ V - V * ours.eigenvalues).max(axis=0)
+    assert np.all(residual <= 1e-8 * np.abs(V).max(axis=0))
+    gram = V.T @ (system.B_diag[:, None] * V)
+    np.testing.assert_allclose(gram, np.eye(len(ours)), rtol=0, atol=1e-10)
+
+
+class TestCouplingRoute:
+    def test_symmetrized_is_bipartite_in_the_coupling(self):
+        for seed in range(10):
+            system = build_system(random_teg(seed, n_max=10))
+            order = even_views_first(system)
+            H = system.symmetrized().toarray()[np.ix_(order, order)]
+            X = system.coupling().toarray()
+            even = X.shape[0]
+            assert X.shape == (system.n * ((system.M + 1) // 2),
+                               system.n * (system.M // 2))
+            np.testing.assert_allclose(H[:even, even:], X, rtol=0, atol=1e-15)
+            assert not H[:even, :even].any() and not H[even:, even:].any()
+
+    @pytest.mark.parametrize("graph,k", [
+        (lambda: gen_benchmark1(0)[0], 3),
+        (lambda: gen_benchmark2(0)[0], 4),
+        # odd M: the even side has one more view than the odd Gram side
+        (lambda: static_blocks(n=300, blocks=3, M=3, seed=0)[0], 3),
+        (lambda: static_blocks(n=200, blocks=4, M=5, seed=0)[0], 4),
+    ], ids=["benchmark1", "benchmark2", "static-M3", "static-M5"])
+    def test_matches_full_system_lanczos(self, graph, k, lanczos_calls):
+        system = build_system(graph())
+        assert system.size > laplacian.DENSE_EIG_CUTOFF
+        assert_matches_reference(system, k, lanczos_calls)
+
+    def test_matches_full_system_lanczos_on_random_graphs(self, monkeypatch,
+                                                          lanczos_calls):
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        solved = 0
+        for seed in range(12):
+            system = build_system(random_teg(seed, n_max=40))
+            if 3 * min(2 + system.M + 3, system.size - system.M) >= system.size:
+                continue  # too small for Lanczos: the dense branch solves it
+            assert_matches_reference(system, 2, lanczos_calls)
+            lanczos_calls.clear()
+            solved += 1
+        assert solved >= 8
+
+    def test_rank_one_coupling_raises(self, monkeypatch):
+        # without self-loops an all-ones snapshot has uniform transition
+        # rows, so X has no positive singular value off the constants
+        system = build_system(rank_one_coupling_graph(), self_loops=False)
+        assert np.linalg.matrix_rank(system.coupling().toarray()) == 1
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure) as err:
+                eigendecompose(system, 4)
+        # no lifted pair passes: near s = 0 the residual alone could, but
+        # the orthonormality of the lifted vectors cannot
+        assert err.value.converged == 0
+        assert err.value.requested == 4
+
+
+    def test_tiny_singular_values_are_not_lifted(self, monkeypatch):
+        # Gram pairs w = 1e-17 on the null space of a rank-one X pass the
+        # residual test, ||Hy - sy|| ~ s ~ 3e-9, but lift to U = XV / s far
+        # from orthonormal
+        system = build_system(rank_one_coupling_graph(), self_loops=False)
+        q_odd = system.temporal_basis()[0][system.n:, 1]
+        null = np.linalg.qr(np.column_stack([q_odd, np.eye(system.n)[:, :4]]))[0]
+        monkeypatch.setattr(laplacian, "eigsh", lambda op, k, **kwargs: (
+            np.full(k, 1e-17), null[:, 1:k + 1]))
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
+        with pytest.raises(ConvergenceFailure) as err:
+            eigendecompose(system, 4)
+        assert err.value.converged == 0
 
 
 class TestLaplacianSpectrum:

@@ -49,3 +49,21 @@ def test_tracer_hooks_record_spans_and_uninstall(tmp_path):
     for owner, saved in zip(PATCHED, before):
         after = vars(owner)
         assert all(after[key] is value for key, value in saved.items())
+
+
+def test_tracer_attributes_the_coupling_solve(tmp_path):
+    # benchmark1 (N = 3000) takes Lanczos on the odd-view Gram matrix of
+    # the view coupling, n floor(M / 2) = 1500, inside the eigensolve span
+    tracer = load_tracer().Tracer()
+    tracer.install(stgl)
+    try:
+        code = tracer.job("cluster", stgl.cli.main,
+                          ["cluster", "--generator", "benchmark1", "--k", "3",
+                           "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.counts["cluster"]
+    assert counts["laplacian.lanczos_solves"] == 1
+    assert counts["laplacian.system_size"] == 1500
+    assert "laplacian.eigensolve" in {span[0] for span in tracer.spans}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -9,7 +10,8 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from stgl import (GraphFormatError, TimeEvolvingGraph, assemble_system,
-                  propagate_densities)
+                  laplacian, propagate_densities)
+from stgl.laplacian import symmetric_eigenpairs
 
 
 def random_teg(seed, n_max=50, M_max=6, density=0.25):
@@ -27,6 +29,16 @@ def random_teg(seed, n_max=50, M_max=6, density=0.25):
             W = W + W.T
         snaps.append(W)
     return TimeEvolvingGraph.from_dense(snaps, directed=directed)
+
+
+def rank_one_coupling_graph(n=12):
+    """Two views, the first an all-ones snapshot, the second random with
+    unit self-loops; without self-loop regularization the first view's
+    transition rows are all uniform, so the view coupling has rank 1."""
+    rng = np.random.default_rng(0)
+    W = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    np.fill_diagonal(W, 1.0)
+    return TimeEvolvingGraph.from_dense([np.ones((n, n)), W], directed=True)
 
 
 def build_system(graph, **kwargs):
@@ -139,6 +151,20 @@ def arpack_two_converged(A, k, **kwargs):
     """Stands in for ``eigsh``: fails with two converged eigenpairs."""
     N = A.shape[0]
     raise ArpackNoConvergence("no convergence", np.zeros(2), np.zeros((N, 2)))
+
+
+def reference_eigendecompose(system, k_request):
+    """``eigendecompose`` with its spatial pairs solved on the full system.
+
+    Replaces the lift from the view coupling with restarted Lanczos on the
+    N x N matrix H - Q (T + 2I) Q^T, the deflated full-system solve.
+    """
+    def full_system(system, k, Q, T):
+        return symmetric_eigenpairs(system.symmetrized(), k,
+                                    low_rank=(Q, T + 2.0 * np.eye(system.M)))
+
+    with mock.patch.object(laplacian, "_coupling_eigenpairs", full_system):
+        return laplacian.eigendecompose(system, k_request)
 
 
 def _reference_edge_records(edges):
