@@ -92,13 +92,22 @@ class SpatioTemporalSystem:
         A couples only adjacent views, so with the even views (0, 2, ...)
         ordered first the symmetrized matrix is [[0, X], [X^T, 0]]. X is
         n ceil(M/2) x n floor(M/2), sliced from A without forming that
-        matrix.
+        matrix. Raises StglError if A links two views of equal parity or
+        its odd to even block is not X^T to 1e-12, as ``symmetrized`` does.
         """
         views = np.arange(self.size) // self.n
         even, odd = np.flatnonzero(views % 2 == 0), np.flatnonzero(views % 2 == 1)
-        d = 1.0 / np.sqrt(self.B_diag)
-        return sparse.csr_array(sparse.diags_array(d[even]) @ self.A[even][:, odd]
-                                @ sparse.diags_array(d[odd]))
+        A_eo, A_oe = self.A[even][:, odd], self.A[odd][:, even]
+        if (A_eo.nnz + A_oe.nnz != self.A.nnz and self.A.count_nonzero()
+                != A_eo.count_nonzero() + A_oe.count_nonzero()):
+            raise StglError("A links two views of equal parity")
+        d_even, d_odd = (sparse.diags_array(1.0 / np.sqrt(self.B_diag[rows]))
+                         for rows in (even, odd))
+        X = sparse.csr_array(d_even @ A_eo @ d_odd)
+        asym = abs(X - (d_odd @ A_oe @ d_even).T)
+        if asym.nnz and not asym.data.max() <= 1e-12:
+            raise StglError("symmetrized system is not symmetric")
+        return X
 
     def temporal_basis(self):
         """Per-view constants in symmetric form: (Q, T) with H Q = Q T.
@@ -193,22 +202,29 @@ def _order_eigenpairs(vals, vecs, descending):
     return vals[order], vecs[:, order], order
 
 
+def _solved_densely(N, k):
+    """Whether k eigenpairs of an N x N system are found by a full dense
+    decomposition: up to ``DENSE_EIG_CUTOFF``, and wherever a Krylov basis
+    of 3k vectors would span the whole space."""
+    return N <= DENSE_EIG_CUTOFF or 3 * k >= N
+
+
 def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
     """The k extreme eigenpairs of a symmetric matrix, deterministically ordered.
 
     With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
-    matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition up
-    to ``DENSE_EIG_CUTOFF`` and wherever a Krylov basis of 3k vectors would
-    span the whole space (3k >= N); otherwise restarted Lanczos from a
+    matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition
+    where ``_solved_densely`` holds; otherwise restarted Lanczos from a
     seeded starting vector with a basis of max(3k, 20) vectors. A
-    ``LinearOperator`` H always takes Lanczos, so it needs k < N. Largest
-    mode returns eigenvalues descending, smallest mode ascending.
+    ``LinearOperator`` H can only be applied, so it always takes Lanczos and
+    needs k < N. Largest mode returns eigenvalues descending, smallest mode
+    ascending.
     """
     N = H.shape[0]
     k = min(k, N)
     if k == 0:
         return np.empty(0), np.empty((N, 0))
-    if not isinstance(H, LinearOperator) and (N <= DENSE_EIG_CUTOFF or 3 * k >= N):
+    if not isinstance(H, LinearOperator) and _solved_densely(N, k):
         Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
         if low_rank is not None:
             Q, S = low_rank
@@ -246,9 +262,11 @@ def _coupling_eigenpairs(system, k, Q, T):
     eigenpair s, [Xv / s; v] / sqrt(2) of H. ``H Q = Q T`` gives
     X Q_o = Q_e T_eo for the per-view constants, so the Gram matrix maps
     the span of Q_o into itself; it is sent to -1, below the Gram spectrum
-    [0, 1]. A lifted pair with residual ||Hy - sy|| or orthonormality error
-    above 1e-8, or NaN (X has too few positive singular values off the
-    constants), raises ConvergenceFailure.
+    [0, 1]. A pair with s within 1e-8 of 0 has Xv = 0 to that accuracy and
+    lifts to the null vector [0; v] of H, eigenvalue 0, which is orthogonal
+    to the other lifts because V is orthonormal. A lifted pair with
+    residual ||Hy - sy|| or orthonormality error above 1e-8, or NaN, raises
+    ConvergenceFailure.
     """
     n, M = system.n, system.M
     X = system.coupling()
@@ -260,24 +278,26 @@ def _coupling_eigenpairs(system, k, Q, T):
     w, V = symmetric_eigenpairs(gram, k, largest=True,
                                 low_rank=(Q_odd, T_eo.T @ T_eo + np.eye(M // 2)))
     with np.errstate(all="ignore"):
-        s = np.sqrt(w)
+        s = np.sqrt(np.maximum(w, 0.0))
+        null = s <= 1e-8
+        s[null] = 0.0
+        norm = np.where(null, 1.0, np.sqrt(2.0))
         XV = X @ V
-        U = XV / s
-        residual = np.sqrt((np.linalg.norm(XV - s * U, axis=0) ** 2
-                            + np.linalg.norm(XT @ U - s * V, axis=0) ** 2) / 2)
-        # a singular value near 0 can pass the residual test with a U that
-        # is neither unit nor orthogonal
-        drift = np.abs(U.T @ U - np.eye(k)).max(axis=0)
+        U = np.where(null, 0.0, XV / s) / norm
+        V = V / norm
+        residual = np.sqrt(np.linalg.norm(XV / norm - s * U, axis=0) ** 2
+                           + np.linalg.norm(XT @ U - s * V, axis=0) ** 2)
+        drift = np.abs(U.T @ U + V.T @ V - np.eye(k)).max(axis=0)
     converged = (residual <= 1e-8) & (drift <= 1e-8)  # False for NaN
     if not converged.all():
         raise ConvergenceFailure(
             f"only {converged.sum()} of {k} eigenpairs lifted from the view "
-            f"coupling are accurate to 1e-8; it has too few positive singular values",
-            converged=int(converged.sum()), requested=k)
+            f"coupling are accurate to 1e-8", converged=int(converged.sum()),
+            requested=k)
     Y = np.empty((M, n, k))
     Y[0::2] = U.reshape(-1, n, k)
     Y[1::2] = V.reshape(-1, n, k)
-    return s, Y.reshape(M * n, k) / np.sqrt(2.0)
+    return s, Y.reshape(M * n, k)
 
 
 def eigendecompose(system: SpatioTemporalSystem, k_request, *,
@@ -309,7 +329,7 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     coef *= np.sqrt(view_weights(M))[:, None]
     coef /= np.linalg.norm(coef, axis=0)
     j = min(k_request, N - M)
-    if N > DENSE_EIG_CUTOFF and 3 * j < N:
+    if not _solved_densely(N, j):
         spatial_vals, spatial_vecs = _coupling_eigenpairs(system, j, Q, T)
     else:
         spatial_vals, spatial_vecs = symmetric_eigenpairs(

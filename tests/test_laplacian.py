@@ -5,14 +5,16 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
+from stgl import (ConvergenceFailure, SpatioTemporalSystem, StglError,
+                  TimeEvolvingGraph, adjusted_rand_index,
                   assemble_system, eigendecompose, gen_benchmark1,
                   gen_benchmark2, kmeans, laplacian, propagate_densities,
                   select_spatial, spectral_cluster, static_blocks)
 from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
-from util import (arpack_two_converged, build_system, random_teg,
+from util import (arpack_two_converged, build_system, clique_coupling_graph,
+                  random_teg,
                   rank_one_coupling_graph, reference_eigendecompose,
                   reference_symmetrized, transfer_operator_C)
 
@@ -380,35 +382,77 @@ class TestCouplingRoute:
             solved += 1
         assert solved >= 8
 
-    def test_rank_one_coupling_raises(self, monkeypatch):
+    def test_coupling_rejects_asymmetric_or_same_parity_systems(self):
+        system = build_system(random_teg(1, n_max=10))
+        n, M = system.n, system.M
+        A = system.A.tolil()
+        A[0, n] *= 1.5  # view 0 to view 1 only: no longer symmetric
+        bad = SpatioTemporalSystem(n=n, M=M, A=sparse.csr_array(A),
+                                   B_diag=system.B_diag)
+        with pytest.raises(StglError, match="not symmetric"):
+            bad.coupling()
+        A = system.A.tolil()
+        A[0, 1] = A[1, 0] = 0.5  # within view 0
+        bad = SpatioTemporalSystem(n=n, M=M, A=sparse.csr_array(A),
+                                   B_diag=system.B_diag)
+        with pytest.raises(StglError, match="equal parity"):
+            bad.coupling()
+
+    def test_rank_deficient_coupling_matches_reference_and_dense(
+            self, monkeypatch, lanczos_calls):
+        # rows of the first view are identical within each clique, so X has
+        # rank 3: one constant and two spatial singular values, and the
+        # remaining requested pairs lift from the Gram null space
+        graph, groups = clique_coupling_graph()
+        system = build_system(graph)
+        assert system.size > laplacian.DENSE_EIG_CUTOFF
+        assert np.linalg.matrix_rank(system.coupling().toarray()) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(system, 3, lanczos_calls)
+            ours = eigendecompose(system, 8)
+            lanczos = spectral_cluster(graph, 3, truth=[groups, groups])
+            monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 10 * system.size)
+            dense = eigendecompose(system, 8)
+            dense_result = spectral_cluster(graph, 3, truth=[groups, groups])
+        np.testing.assert_allclose(ours.eigenvalues, dense.eigenvalues,
+                                   rtol=0, atol=1e-12)
+        assert ours.tags == dense.tags
+        assert np.count_nonzero(ours.eigenvalues == 0.0) == 5
+        assert lanczos.ari_per_view == dense_result.ari_per_view == (1.0, 1.0)
+
+    def test_rank_one_coupling_lifts_null_vectors(self, monkeypatch,
+                                                  lanczos_calls):
         # without self-loops an all-ones snapshot has uniform transition
-        # rows, so X has no positive singular value off the constants
+        # rows, so X has no positive singular value off the constants and
+        # every spatial pair is a null vector [0; v] of H
         system = build_system(rank_one_coupling_graph(), self_loops=False)
         assert np.linalg.matrix_rank(system.coupling().toarray()) == 1
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceFailure) as err:
-                eigendecompose(system, 4)
-        # no lifted pair passes: near s = 0 the residual alone could, but
-        # the orthonormality of the lifted vectors cannot
-        assert err.value.converged == 0
-        assert err.value.requested == 4
+            assert_matches_reference(system, 1, lanczos_calls)
+            emb = eigendecompose(system, 4)
+        assert emb.tags == ("constant", "spatial", "spatial", "spatial")
+        np.testing.assert_array_equal(emb.eigenvalues, [1.0, 0.0, 0.0, 0.0])
+        assert not emb.folded[1:, 0].any()
 
-
-    def test_tiny_singular_values_are_not_lifted(self, monkeypatch):
-        # Gram pairs w = 1e-17 on the null space of a rank-one X pass the
-        # residual test, ||Hy - sy|| ~ s ~ 3e-9, but lift to U = XV / s far
-        # from orthonormal
-        system = build_system(rank_one_coupling_graph(), self_loops=False)
+    def test_inaccurate_lifts_are_refused(self, monkeypatch):
+        # Gram pairs claimed near 0 on vectors X does not annihilate, or NaN,
+        # are not eigenpairs of H
+        system = build_system(rank_one_coupling_graph())  # self-loops: full rank
         q_odd = system.temporal_basis()[0][system.n:, 1]
-        null = np.linalg.qr(np.column_stack([q_odd, np.eye(system.n)[:, :4]]))[0]
-        monkeypatch.setattr(laplacian, "eigsh", lambda op, k, **kwargs: (
-            np.full(k, 1e-17), null[:, 1:k + 1]))
+        basis = np.linalg.qr(np.column_stack([q_odd, np.eye(system.n)[:, :4]]))[0]
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 1)
-        with pytest.raises(ConvergenceFailure) as err:
-            eigendecompose(system, 4)
-        assert err.value.converged == 0
+        for w in (1e-17, np.nan):
+            monkeypatch.setattr(laplacian, "eigsh", lambda op, k, **kwargs: (
+                np.full(k, w), basis[:, 1:k + 1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceFailure) as err:
+                    eigendecompose(system, 4)
+            assert err.value.converged == 0
+            assert err.value.requested == 4
 
 
 class TestLaplacianSpectrum:

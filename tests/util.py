@@ -41,6 +41,24 @@ def rank_one_coupling_graph(n=12):
     return TimeEvolvingGraph.from_dense([np.ones((n, n)), W], directed=True)
 
 
+def clique_coupling_graph(sizes=(150, 120, 90), seed=0):
+    """Two directed views whose first has rows identical within each group.
+
+    The first view joins each group into a clique (the unit self-loop
+    completes it) with weak group-to-group weights, so its transition
+    matrix and the view coupling have rank len(sizes), and the odd-view
+    Gram matrix has a null space. Returns the graph and the group labels.
+    """
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    rng = np.random.default_rng(seed)
+    between = rng.uniform(0.01, 0.05, (len(sizes), len(sizes)))
+    np.fill_diagonal(between, 1.0)
+    W0 = between[groups][:, groups]
+    np.fill_diagonal(W0, 0.0)
+    W1 = W0 * rng.random(W0.shape)
+    return TimeEvolvingGraph.from_dense([W0, W1], directed=True), groups
+
+
 def build_system(graph, **kwargs):
     return assemble_system(propagate_densities(graph, **kwargs))
 
