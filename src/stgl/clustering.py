@@ -27,27 +27,13 @@ class Embedding:
     points: np.ndarray = field(repr=False)
     selection: tuple
 
-    @property
-    def k(self):
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    """Per-view labels plus the k-means objective and reproducibility metadata."""
+    """Per-view labels plus the k-means objective."""
 
     labels: np.ndarray
     inertia: float
-    seed: object
-    restarts: int
-
-    @property
-    def M(self):
-        return self.labels.shape[0]
-
-    @property
-    def n(self):
-        return self.labels.shape[1]
 
 
 def select_spatial(embedding: SpectralEmbedding, k) -> Embedding:
@@ -138,8 +124,7 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     n = len(points) // views
     if n * views != len(points):
         raise ValueError("point count is not a multiple of the view count")
-    return ClusteringResult(labels=labels.reshape(views, n), inertia=inertia,
-                            seed=seed, restarts=restarts)
+    return ClusteringResult(labels=labels.reshape(views, n), inertia=inertia)
 
 
 def adjusted_rand_index(a, b) -> float:

@@ -11,6 +11,7 @@ writers go through an atomic temp-file-plus-rename.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import math
@@ -75,7 +76,7 @@ def _edge_columns(edges):
         if set(map(type, itertools.chain(*columns[:3]))) <= {int} \
                 and set(map(type, columns[3])) <= {int, float}:
             try:
-                return [np.array(col, dtype=float if c == 3 else np.int64)
+                return [np.fromiter(col, float if c == 3 else np.int64, len(col))
                         for c, col in enumerate(columns)]
             except OverflowError as err:
                 raise GraphFormatError(f"edges must be a list of [t, i, j, w] "
@@ -94,25 +95,42 @@ def _reject_first(bad, message):
         raise GraphFormatError(message(bad.argmax()))
 
 
+def _edge_order(t, i, j, n, M):
+    """``np.lexsort((j, i, t))`` for t in [1, M] and i, j in [0, n): one stable
+    sort of the key (t n + i) n + j wherever its bound (M + 1) n² fits in int64."""
+    if (max(M, 0) + 1) * n * n > 2**63:  # an M below 1 leaves no records
+        return np.lexsort((j, i, t))
+    return np.argsort((t * n + i) * n + j, kind="stable")
+
+
 def load_graph(path):
     """Read a graph JSON file; returns (graph, labels-or-None)."""
+    # the parsed document holds no reference cycles, so the collector passes
+    # that its allocations set off would traverse every record and free nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError) as err:  # decode errors are ValueErrors
-        raise GraphFormatError(f"not a readable JSON file: {err}") from err
-    try:
-        n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
-    except (KeyError, TypeError) as err:
-        raise GraphFormatError(f"missing or malformed header field: {err}") from err
-    # a JSON integer parses to exactly int; a float, string or boolean fails
-    if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
-        raise GraphFormatError("header fields n and M must be integers, n "
-                               "positive, and directed a boolean")
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except FileNotFoundError:
+            raise
+        except (OSError, ValueError) as err:  # decode errors are ValueErrors
+            raise GraphFormatError(f"not a readable JSON file: {err}") from err
+        try:
+            n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
+        except (KeyError, TypeError) as err:
+            raise GraphFormatError(f"missing or malformed header field: {err}") from err
+        # a JSON integer parses to exactly int; a float, string or boolean fails
+        if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
+            raise GraphFormatError("header fields n and M must be integers, n "
+                                   "positive, and directed a boolean")
+        t, i, j, w = _edge_columns(edges)
+        del doc["edges"], edges  # else the first pass after would traverse them
+    finally:
+        if collecting:
+            gc.enable()
 
-    t, i, j, w = _edge_columns(edges)
     _reject_first((t < 1) | (t > M), lambda k: f"view {t[k]} out of range [1, {M}]")
     _reject_first((i < 0) | (i >= n) | (j < 0) | (j >= n),
                   lambda k: f"vertex pair ({i[k]}, {j[k]}) out of range [0, {n})")
@@ -122,7 +140,7 @@ def load_graph(path):
         off = i != j
         t, i, j, w = (np.concatenate([a, b[off]])
                       for a, b in ((t, t), (i, j), (j, i), (w, w)))
-    order = np.lexsort((j, i, t))
+    order = _edge_order(t, i, j, n, M)
     t, i, j, w = t[order], i[order], j[order], w[order]
     # t[0] >= 1, so the first record always starts a new (t, i, j) key
     new = np.diff(np.stack([t, i, j]), axis=1, prepend=0).any(axis=0)

@@ -24,8 +24,9 @@ from .operators import OperatorSequence
 # 2-vCPU Xeon).
 DENSE_EIG_CUTOFF = 700
 
-# Seed of the Lanczos starting vector, so repeated solves agree bitwise
-# instead of depending on ARPACK's state from earlier calls.
+# Seed of the Lanczos starting vector and of the restart vectors ARPACK asks
+# for when its Krylov space becomes invariant (a rank-deficient operator), so
+# repeated solves agree bitwise instead of drawing fresh entropy.
 LANCZOS_SEED = 0
 
 # Eigenvalues above this are surfaced by default; negative ones correspond to
@@ -49,7 +50,7 @@ class SpatioTemporalSystem:
     """Assembled block matrices of the coupled eigenproblem.
 
     ``A`` is Mn x Mn sparse symmetric and ``B_diag`` the positive diagonal
-    of B; B, C and L are derived from them.
+    of B; C is derived from them.
     """
 
     n: int
@@ -62,19 +63,10 @@ class SpatioTemporalSystem:
         return self.M * self.n
 
     @property
-    def B(self):
-        return sparse.dia_array((self.B_diag[None, :], [0]), shape=self.A.shape)
-
-    @property
     def C(self):
         """The row-stochastic matrix B^{-1} A."""
         inv_b = sparse.dia_array((1.0 / self.B_diag[None, :], [0]), shape=self.A.shape)
         return sparse.csr_array(inv_b @ self.A)
-
-    @property
-    def L(self):
-        """The spatio-temporal graph Laplacian I - C."""
-        return sparse.csr_array(sparse.identity(self.size, format="csr") - self.C)
 
     def symmetrized(self):
         """B^{-1/2} A B^{-1/2}: symmetric, with the same spectrum as C."""
@@ -214,8 +206,8 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
 
     With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
     matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition
-    where ``_solved_densely`` holds; otherwise restarted Lanczos from a
-    seeded starting vector with a basis of max(3k, 20) vectors. A
+    where ``_solved_densely`` holds; otherwise restarted Lanczos from seeded
+    starting and restart vectors with a basis of max(3k, 20) vectors. A
     ``LinearOperator`` H can only be applied, so it always takes Lanczos and
     needs k < N. Largest mode returns eigenvalues descending, smallest mode
     ascending.
@@ -244,7 +236,7 @@ def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
         try:
             # ARPACK's default basis of 2k + 1 restarts too often here
             vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA", v0=v0,
-                               ncv=min(N, max(3 * k, 20)))
+                               ncv=min(N, max(3 * k, 20)), rng=LANCZOS_SEED)
         except ArpackNoConvergence as err:
             raise ConvergenceFailure(
                 f"Lanczos iteration converged {len(err.eigenvalues)} of {k} "

@@ -8,8 +8,9 @@ undirected input the matrix is symmetric positive semidefinite. The
 coupling strength has to be tuned; see the two limiting regimes in
 ``supra_cluster``.
 
-Variants: "unnormalized" (default) uses D - W per view and has exactly
--a I off-diagonal blocks. "normalized" is the random-walk Laplacian
+Variants: "unnormalized" (the default of ``build_supra``) uses D - W per
+view and has exactly -a I off-diagonal blocks. "normalized" (the default of
+``stgl baseline --laplacian-variant``) is the random-walk Laplacian
 I - D^{-1} W of the whole coupled layered graph; its off-diagonal blocks
 carry degree-scaled coupling and the matrix itself is asymmetric, but the
 spectrum is still real (similar to a symmetric matrix) and the

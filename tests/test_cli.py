@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +15,30 @@ from hypothesis import given, settings, strategies as st
 from stgl import clustering, laplacian, save_graph
 from stgl.cli import main
 
-from util import (CORRUPTIONS, arpack_two_converged, corrupt, random_teg,
-                  rank_one_coupling_graph)
+from util import (CORRUPTIONS, arpack_two_converged, clique_coupling_graph,
+                  corrupt, random_teg, rank_one_coupling_graph)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
     return main(argv)
+
+
+def run_fresh(dense_cutoff, *commands):
+    """The exit codes of ``main`` on each of ``commands``, run in order in one
+    new interpreter with ``DENSE_EIG_CUTOFF`` set."""
+    script = ("import json, sys; from stgl import laplacian; "
+              "from stgl.cli import main; "
+              "laplacian.DENSE_EIG_CUTOFF = int(sys.argv[1]); "
+              "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
+              "print(json.dumps(codes))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(dense_cutoff),
+                           json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture()
@@ -90,6 +111,41 @@ class TestCluster:
         for d in docs:
             d.pop("timings")
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("graph,cutoff,options,k,j", [
+        (clique_coupling_graph()[0], laplacian.DENSE_EIG_CUTOFF, [], 3, 10),
+        (rank_one_coupling_graph(), 1, ["--no-self-loops"], 2, 4),
+    ], ids=["clique", "rank-one"])
+    def test_rank_deficient_input_reproducible(self, tmp_path, graph, cutoff,
+                                               options, k, j):
+        # a rank-deficient Gram operator makes ARPACK ask for restart vectors,
+        # which unseeded would come from fresh entropy in every process; the
+        # second process runs the commands in the other order, so each solve
+        # is compared both fresh and after an unrelated one
+        path = tmp_path / "graph.json"
+        save_graph(path, graph)
+
+        def command(name, process):
+            extra = ["--k", str(k)] if name == "cluster" else ["--j", str(j),
+                                                               "--full-spectrum"]
+            return [name, "--input", str(path), *options, *extra, "--export-vectors",
+                    "--out", str(tmp_path / process / name)]
+
+        for process, order in (("a", ("cluster", "spectrum")),
+                               ("b", ("spectrum", "cluster"))):
+            commands = [command(name, process) for name in order]
+            assert run_fresh(cutoff, *commands) == [0, 0]
+        for name in ("cluster", "spectrum"):
+            outs = [tmp_path / process / name for process in ("a", "b")]
+            files = sorted(f.name for f in outs[0].iterdir())
+            assert "eigenvectors.csv" in files
+            assert files == sorted(f.name for f in outs[1].iterdir())
+            for f in files:
+                a, b = ((out / f).read_bytes() for out in outs)
+                if f.endswith(".json"):
+                    a, b = json.loads(a), json.loads(b)
+                    a.pop("timings"), b.pop("timings")
+                assert a == b, f
 
     def test_generator_input(self, tmp_path):
         out = tmp_path / "gen"

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import stgl.io as stgl_io
 from stgl import (GraphFormatError, SpectralEmbedding, TimeEvolvingGraph,
                   gen_benchmark1, gen_benchmark2, gen_line_graph, load_graph,
                   save_graph, static_blocks)
-from stgl.io import (save_eigenvectors_csv, save_labels_csv, write_csv,
-                     write_report)
+from stgl.io import (_edge_order, save_eigenvectors_csv, save_labels_csv,
+                     write_csv, write_report)
 
 from util import (CORRUPTIONS, corrupt, random_teg, reference_graph_payload,
                   reference_load_graph)
@@ -225,6 +228,103 @@ class TestLoaderAgainstReference:
         for generate in (gen_benchmark1, gen_benchmark2):
             save_graph(path, *generate(0))
             assert_same_load(load_graph(path), reference_load_graph(path))
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """``load_graph`` pauses the cyclic collector and restores the caller's state."""
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"n": 2, "M": 2, "directed": false, "edges": [[1, 0, 1, 1.0]]}', None),
+        ('{"n": 2, "M": 2, "directed": false, "edges": [[1, 0, 1, true]]}',
+         GraphFormatError),
+        ("not json at all", GraphFormatError),
+        (None, FileNotFoundError),
+    ], ids=["good", "format-error", "not-json", "missing"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_restored(self, tmp_path, text, error, enabled):
+        path = tmp_path / "g.json"
+        if text is not None:
+            path.write_text(text)
+        with _collector(enabled):
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                load_graph(path)
+            assert gc.isenabled() is enabled
+
+    def test_paused_while_parsing(self, tmp_path, monkeypatch):
+        seen = []
+        for owner, name in ((json, "load"), (stgl_io, "_edge_columns")):
+            def spy(*args, real=getattr(owner, name)):
+                seen.append(gc.isenabled())
+                return real(*args)
+            monkeypatch.setattr(owner, name, spy)
+        path = tmp_path / "g.json"
+        save_graph(path, random_teg(0))
+        with _collector(True):
+            load_graph(path)
+            assert gc.isenabled()
+        assert seen == [False, False]
+
+
+class TestEdgeOrder:
+    """The loader's one-key sort orders records exactly as ``np.lexsort``."""
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        """Each ``_edge_order`` result of a load, compared with the lexsort."""
+        results = []
+
+        def checking(t, i, j, n, M):
+            order = _edge_order(t, i, j, n, M)
+            results.append(np.array_equal(order, np.lexsort((j, i, t))))
+            return order
+
+        monkeypatch.setattr("stgl.io._edge_order", checking)
+        return results
+
+    @pytest.mark.parametrize("arrangement", ["shuffled", "reversed"])
+    @pytest.mark.parametrize("seed", range(6))  # seeds 2, 3 and 5 are undirected
+    def test_loads_like_lexsort(self, tmp_path, checked, seed, arrangement):
+        graph = random_teg(seed, n_max=30)
+        doc = reference_graph_payload(graph)
+        edges = doc["edges"]
+        rng = np.random.default_rng(seed)
+        if not graph.directed:
+            # either orientation is valid, and repeats in the other one
+            # interleave with the mirrored half of the records
+            edges = [[t, j, i, w] if rng.random() < 0.5 else [t, i, j, w]
+                     for t, i, j, w in edges]
+            edges += [[t, j, i, w] for t, i, j, w in edges[::3]]
+        doc["edges"] = (edges[::-1] if arrangement == "reversed"
+                        else [edges[k] for k in rng.permutation(len(edges))])
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert_same_load(load_graph(path), reference_load_graph(path))
+        assert checked == [True]
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_exact_where_the_key_would_overflow(self, M):
+        # at n = 2**31, (M + 1) n² is 2**63 for M = 1, whose largest key
+        # 2**63 - 1 still fits in int64, and 2**64 for M = 3, where the key
+        # (t n + i) n + j would wrap; no graph this large can be allocated
+        n = 2**31
+        rng = np.random.default_rng(M)
+        extremes = np.array([0, 1, n - 2, n - 1])
+        t = rng.integers(1, M + 1, 4000)
+        i, j = (np.where(rng.random(4000) < 0.5, rng.integers(0, n, 4000),
+                         rng.choice(extremes, 4000)) for _ in range(2))
+        assert (M + 1) * n * n >= 2**63
+        np.testing.assert_array_equal(_edge_order(t, i, j, n, M),
+                                      np.lexsort((j, i, t)))
 
 
 def _graph_with_empty_view(seed):

@@ -67,3 +67,21 @@ def test_tracer_attributes_the_coupling_solve(tmp_path):
     assert counts["laplacian.lanczos_solves"] == 1
     assert counts["laplacian.system_size"] == 1500
     assert "laplacian.eigensolve" in {span[0] for span in tracer.spans}
+
+
+def test_tracer_attributes_the_file_load(tmp_path):
+    # cluster-file's largest layer is reading the graph file: a split or
+    # rename of `load_graph` must not drop its `io.load` span
+    path = tmp_path / "planted.json"
+    assert stgl.cli.main(["generate", "planted", "--file", str(path)]) == 0
+    tracer = load_tracer().Tracer()
+    tracer.install(stgl)
+    try:
+        code = tracer.job("cluster", stgl.cli.main,
+                          ["cluster", "--input", str(path), "--k", "2",
+                           "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "io.load" in {span[0] for span in tracer.spans}
+    assert tracer.counts["cluster"]["io.read_bytes"] == path.stat().st_size > 0
