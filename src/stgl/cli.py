@@ -205,6 +205,8 @@ def cmd_spectrum(args):
 
 
 def cmd_gyre(args):
+    if args.views < 2:
+        raise ValueError(f"--views must be at least 2, got {args.views}")
     out = _resolve_out(args)
     grid = gyre_mod.UlamGrid()
     params = gyre_mod.GyreParams()

@@ -74,10 +74,9 @@ def _assign(points, centroids):
 
 
 def _lloyd(points, k, rng, max_iter=300):
-    """One k-means run; returns (labels, inertia, per-iteration inertias)."""
+    """One k-means run; returns (labels, inertia)."""
     centroids = _kmeans_pp_init(points, k, rng)
     labels, inertia = _assign(points, centroids)
-    history = [inertia]
     for _ in range(max_iter):
         repair_d2 = None
         for c in range(k):
@@ -95,11 +94,10 @@ def _lloyd(points, k, rng, max_iter=300):
         new_labels, new_inertia = _assign(points, centroids)
         if new_inertia > inertia + 1e-9 * max(1.0, inertia):
             raise StglError("k-means objective increased")
-        history.append(new_inertia)
         if np.array_equal(new_labels, labels):
-            return new_labels, new_inertia, history
+            return new_labels, new_inertia
         labels, inertia = new_labels, new_inertia
-    return labels, inertia, history
+    return labels, inertia
 
 
 def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
@@ -116,8 +114,7 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     best = None
     for r in range(restarts):
-        rng = np.random.default_rng((seed, r) if np.isscalar(seed) else (*seed, r))
-        labels, inertia, _ = _lloyd(points, k, rng)
+        labels, inertia = _lloyd(points, k, np.random.default_rng((seed, r)))
         if best is None or inertia < best[1]:
             best = (labels, inertia)
     labels, inertia = best

@@ -22,6 +22,10 @@ from .graph import TimeEvolvingGraph
 
 TWO_PI = 2.0 * np.pi
 
+# Farthest an integrator step may carry a particle outside the domain (one
+# box width of the default grid) before ``integrate_rk4`` raises StepTooLarge.
+MAX_EXCURSION = 0.05
+
 
 @dataclass(frozen=True)
 class GyreParams:
@@ -137,7 +141,7 @@ def _rk4_step(x, y, t, h, field):
 
 
 def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
-                  max_excursion=0.05, noise=0.0, rng=None):
+                  noise=0.0, rng=None):
     """Classical 4th-order integration of particle positions from t0 to t1.
 
     ``state`` is (..., 2); h must divide t1 - t0 up to rounding. With
@@ -145,9 +149,9 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     noise * sqrt(h), drawn from ``rng`` (x normals, then y normals).
     Positions are reflected at the domain walls (the exact field is
     wall-tangent, so reflections only correct integrator drift and kicks).
-    A step that overshoots the domain by more than ``max_excursion`` (one
-    box width) raises StepTooLarge; the check comes before the kick, which
-    may legitimately cross a wall by a few standard deviations.
+    A step that overshoots the domain by more than ``MAX_EXCURSION`` raises
+    StepTooLarge; the check comes before the kick, which may legitimately
+    cross a wall by a few standard deviations.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -164,10 +168,10 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     t = t0
     for _ in range(steps):
         x, y = _rk4_step(x, y, t, h, field)
-        if (x.min() < -max_excursion or x.max() > 2.0 + max_excursion
-                or y.min() < -max_excursion or y.max() > 1.0 + max_excursion):
+        if (x.min() < -MAX_EXCURSION or x.max() > 2.0 + MAX_EXCURSION
+                or y.min() < -MAX_EXCURSION or y.max() > 1.0 + MAX_EXCURSION):
             raise StepTooLarge(f"particle left the domain by more than "
-                               f"{max_excursion} at t={t + h:.4f}")
+                               f"{MAX_EXCURSION} at t={t + h:.4f}")
         if noise:
             x = x + kick * rng.standard_normal(x.shape)
             y = y + kick * rng.standard_normal(y.shape)

@@ -33,8 +33,8 @@ LANCZOS_SEED = 0
 # negatively correlated functions and are filtered.
 NEGATIVE_EIG_CUTOFF = -1e-12
 
-# Rows of a dense matrix updated at once when a low-rank term is subtracted
-# in place, so the temporary never approaches a second N x N array.
+# Rows of the dense system updated at once when the per-view constants are
+# deflated in place, so the temporary never approaches a second N x N array.
 LOW_RANK_ROW_CHUNK = 256
 
 
@@ -201,41 +201,28 @@ def _solved_densely(N, k):
     return N <= DENSE_EIG_CUTOFF or 3 * k >= N
 
 
-def symmetric_eigenpairs(H, k, *, largest=True, low_rank=None):
+def symmetric_eigenpairs(H, k, *, largest=True):
     """The k extreme eigenpairs of a symmetric matrix, deterministically ordered.
 
-    With ``low_rank = (Q, S)``, an N x r matrix and a symmetric r x r
-    matrix, the eigenpairs are those of H - Q S Q^T. Dense decomposition
-    where ``_solved_densely`` holds; otherwise restarted Lanczos from seeded
-    starting and restart vectors with a basis of max(3k, 20) vectors. A
-    ``LinearOperator`` H can only be applied, so it always takes Lanczos and
-    needs k < N. Largest mode returns eigenvalues descending, smallest mode
-    ascending.
+    Dense decomposition where ``_solved_densely`` holds; otherwise restarted
+    Lanczos from seeded starting and restart vectors with a basis of
+    max(3k, 20) vectors. A ``LinearOperator`` H can only be applied, so it
+    always takes Lanczos and needs k < N. Largest mode returns eigenvalues
+    descending, smallest mode ascending.
     """
     N = H.shape[0]
     k = min(k, N)
     if k == 0:
         return np.empty(0), np.empty((N, 0))
     if not isinstance(H, LinearOperator) and _solved_densely(N, k):
-        Hd = H.toarray() if sparse.issparse(H) else np.array(H, dtype=float)
-        if low_rank is not None:
-            Q, S = low_rank
-            QS = Q @ S
-            for lo in range(0, N, LOW_RANK_ROW_CHUNK):
-                rows = slice(lo, lo + LOW_RANK_ROW_CHUNK)
-                Hd[rows] -= QS[rows] @ Q.T
+        Hd = H.toarray() if sparse.issparse(H) else np.asarray(H, dtype=float)
         lo, hi = (N - k, N - 1) if largest else (0, k - 1)
         vals, vecs = eigh(Hd, subset_by_index=(lo, hi))
     else:
-        op = H
-        if low_rank is not None:
-            Q, S = low_rank
-            op = LinearOperator(H.shape, dtype=float,
-                                matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
         v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, N)
         try:
             # ARPACK's default basis of 2k + 1 restarts too often here
-            vals, vecs = eigsh(op, k=k, which="LA" if largest else "SA", v0=v0,
+            vals, vecs = eigsh(H, k=k, which="LA" if largest else "SA", v0=v0,
                                ncv=min(N, max(3 * k, 20)), rng=LANCZOS_SEED)
         except ArpackNoConvergence as err:
             raise ConvergenceFailure(
@@ -264,11 +251,13 @@ def _coupling_eigenpairs(system, k, Q, T):
     X = system.coupling()
     XT = sparse.csr_array(X.T)  # a CSR transpose multiplies faster than CSC
     m = X.shape[1]
-    gram = LinearOperator((m, m), dtype=float, matvec=lambda v: XT @ (X @ v))
     Q_odd = Q.reshape(M, n, M)[1::2, :, 1::2].reshape(m, M // 2)
     T_eo = T[0::2, 1::2]
-    w, V = symmetric_eigenpairs(gram, k, largest=True,
-                                low_rank=(Q_odd, T_eo.T @ T_eo + np.eye(M // 2)))
+    S = T_eo.T @ T_eo + np.eye(M // 2)
+    gram = LinearOperator(
+        (m, m), dtype=float,
+        matvec=lambda v: XT @ (X @ v) - Q_odd @ (S @ (Q_odd.T @ v)))
+    w, V = symmetric_eigenpairs(gram, k)
     with np.errstate(all="ignore"):
         s = np.sqrt(np.maximum(w, 0.0))
         null = s <= 1e-8
@@ -304,10 +293,10 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     spatial pairs are those of H - Q (T + 2I) Q^T (see
     ``SpatioTemporalSystem.temporal_basis``), which agrees with H off the
     span of Q and sends that span to -2, below the whole spectrum of H.
-    Where ``symmetric_eigenpairs`` would solve that N x N system by Lanczos
-    they are instead lifted from the j largest singular pairs of the even
-    to odd view coupling X (see ``_coupling_eigenpairs``), a Lanczos solve
-    of half the size or less; the dense branch is unchanged. Unless
+    Where ``_solved_densely`` holds that N x N matrix is formed densely and
+    decomposed; otherwise the pairs are lifted from the j largest singular
+    pairs of the even to odd view coupling X (see ``_coupling_eigenpairs``),
+    a Lanczos solve of half the size or less. Unless
     ``full_spectrum`` is set, only nonnegative eigenvalues are surfaced, so
     fewer than k_request pairs may be returned.
     """
@@ -324,8 +313,12 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     if not _solved_densely(N, j):
         spatial_vals, spatial_vecs = _coupling_eigenpairs(system, j, Q, T)
     else:
-        spatial_vals, spatial_vecs = symmetric_eigenpairs(
-            system.symmetrized(), j, largest=True, low_rank=(Q, T + 2.0 * np.eye(M)))
+        H = system.symmetrized().toarray()
+        QS = Q @ (T + 2.0 * np.eye(M))
+        for lo in range(0, N, LOW_RANK_ROW_CHUNK):
+            rows = slice(lo, lo + LOW_RANK_ROW_CHUNK)
+            H[rows] -= QS[rows] @ Q.T
+        spatial_vals, spatial_vecs = symmetric_eigenpairs(H, j)
     vals, vecs, order = _order_eigenpairs(
         np.concatenate([np.cos(theta), spatial_vals]),
         np.hstack([Q @ coef, spatial_vecs]), descending=True)

@@ -42,9 +42,10 @@ DEFAULT_TAU = 0.05
 class SupraSystem:
     """The assembled supra-Laplacian and its construction parameters.
 
-    ``H`` is the symmetric matrix whose eigendecomposition solves L_S, and
-    ``scale`` maps its eigenvectors back to those of L_S (identity scale
-    for the unnormalized variant, where H is L_S itself).
+    ``H`` is the symmetric matrix whose eigendecomposition solves the
+    supra-Laplacian L_S = diag(scale) H diag(1 / scale), and ``scale`` maps
+    its eigenvectors back to those of L_S (identity scale for the
+    unnormalized variant, where H is L_S itself).
     """
 
     n: int
@@ -57,13 +58,6 @@ class SupraSystem:
     @property
     def size(self):
         return self.M * self.n
-
-    @property
-    def L_S(self):
-        """The supra-Laplacian diag(scale) H diag(1 / scale)."""
-        left = sparse.dia_array((self.scale[None, :], [0]), shape=self.H.shape)
-        right = sparse.dia_array((1.0 / self.scale[None, :], [0]), shape=self.H.shape)
-        return sparse.csr_array(left @ self.H @ right)
 
 
 def symmetrize(graph: TimeEvolvingGraph) -> TimeEvolvingGraph:
@@ -120,18 +114,19 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
                        H=H, scale=1.0 / np.sqrt(degrees))
 
 
-def classify_folded(folded, tau=DEFAULT_TAU):
+def classify_folded(folded):
     """Tag one folded eigenvector as constant, temporal or spatial.
 
     Temporal means every view slice is constant (within-slice spread below
-    tau times the overall spread) while the per-view constants differ.
+    ``DEFAULT_TAU`` times the overall spread) while the per-view constants
+    differ.
     """
     flat = folded.ravel()
     overall = flat.std()
     rms = np.sqrt(np.mean(flat ** 2))
-    if overall <= tau * rms:
+    if overall <= DEFAULT_TAU * rms:
         return "constant"
-    if np.all(folded.std(axis=1) <= tau * overall):
+    if np.all(folded.std(axis=1) <= DEFAULT_TAU * overall):
         return "temporal"
     return "spatial"
 

@@ -355,6 +355,13 @@ class TestGyre:
         assert boxes["nx"] == 40 and boxes["ny"] == 20
         assert len(boxes["centers"]) == 800
 
+    @pytest.mark.parametrize("views", [0, 1])
+    def test_too_few_views_is_config_error(self, views, tmp_path):
+        out = tmp_path / "gyre"
+        code = run(["gyre", "--views", str(views), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestWalk:
     def test_escape_report(self, linegraph_file, tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stgl import (DegenerateInput, InsufficientSpatialEigenvectors,
-                  adjusted_rand_index, kmeans, score_against, select_spatial,
-                  spectral_cluster, static_blocks)
+                  adjusted_rand_index, clustering, kmeans, score_against,
+                  select_spatial, spectral_cluster, static_blocks)
 from stgl.clustering import _lloyd
 from stgl.laplacian import SpectralEmbedding
 
@@ -81,12 +81,23 @@ class TestKmeans:
         objective = float(((pts - centroids[labels]) ** 2).sum())
         assert res.inertia == pytest.approx(objective, abs=1e-9)
 
-    def test_lloyd_inertia_non_increasing(self):
+    def test_lloyd_inertia_non_increasing(self, monkeypatch):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((60, 2))
+        real = clustering._assign
+        inertias = []
+
+        def record(points, centroids):
+            labels, inertia = real(points, centroids)
+            inertias.append(inertia)
+            return labels, inertia
+
+        monkeypatch.setattr(clustering, "_assign", record)
         for r in range(5):
-            _, _, history = _lloyd(pts, 4, np.random.default_rng((7, r)))
-            assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+            inertias.clear()
+            _lloyd(pts, 4, np.random.default_rng((7, r)))
+            assert len(inertias) >= 2
+            assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
     def test_views_folding(self):
         pts = np.vstack([np.zeros((4, 1)), np.ones((4, 1))])

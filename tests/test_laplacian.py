@@ -318,6 +318,27 @@ class TestTemporalDeflation:
                 else:
                     assert spread <= 1e-12 * np.abs(folded).max()
 
+    def test_dense_deflation_matches_one_piece_product(self, monkeypatch):
+        # N = 300 takes the dense branch and crosses one row-slab boundary,
+        # and the slab-wise deflation has the bits of the one-piece product
+        g, _ = static_blocks(n=60, blocks=2, M=5, seed=0)
+        system = build_system(g)
+        assert laplacian.LOW_RANK_ROW_CHUNK < system.size == 300
+        solved = []
+        real = laplacian.symmetric_eigenpairs
+
+        def spy(H, k, **kwargs):
+            solved.append(real(H, k, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(laplacian, "symmetric_eigenpairs", spy)
+        eigendecompose(system, 20)
+        Q, T = system.temporal_basis()
+        H = system.symmetrized().toarray() - Q @ (T + 2.0 * np.eye(system.M)) @ Q.T
+        (vals, vecs), = solved
+        ref_vals, ref_vecs = real(H, 20)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
 
 def even_views_first(system):
     """Row order of the symmetrized system with the even views first."""

@@ -1,5 +1,8 @@
 """Qualitative behaviors of the full pipeline on the benchmark generators."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ class TestBenchmark1Eigenvectors:
         # the closed-form tags agree with the within-view spread heuristic
         _, _, result = bench1
         emb = result.embedding
-        assert emb.tags == tuple(classify_folded(f, tau=0.05) for f in emb.folded)
+        assert emb.tags == tuple(classify_folded(f) for f in emb.folded)
 
     def test_selection_skips_temporal(self, bench1):
         _, _, result = bench1
@@ -109,3 +112,30 @@ def test_public_surface_is_pinned():
         "static_blocks", "supra_cluster", "symmetrize", "ulam_counts",
         "velocity",
     ]
+
+
+def test_no_unused_imports():
+    # every name a module of the package imports is read in it, unless the
+    # module re-exports it through __all__
+    unused = []
+    for path in sorted(Path(stgl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read | exported]
+    assert unused == []

@@ -7,7 +7,8 @@ from stgl import (DirectedInput, InsufficientSpatialEigenvectors,
                   supra_cluster, symmetrize)
 from stgl.supra import classify_folded
 
-from util import random_teg, reference_random_walk_laplacian
+from util import (random_teg, reference_random_walk_laplacian,
+                  supra_laplacian)
 
 
 def undirected_teg(seed, **kwargs):
@@ -54,14 +55,14 @@ class TestBuildSupra:
         system = build_supra(g, 0.7, "unnormalized")
         # Laplacian sign convention: off-diagonal blocks are -a I, coupling
         # degree on the diagonal; a single self-loop contributes nothing
-        np.testing.assert_allclose(system.L_S.toarray(),
+        np.testing.assert_allclose(supra_laplacian(system).toarray(),
                                    [[0.7, -0.7], [-0.7, 0.7]], atol=1e-15)
 
     def test_adjacent_blocks_are_minus_a_identity(self):
         g = undirected_teg(2, n_max=6, M_max=4)
         a = 0.37
         system = build_supra(g, a, "unnormalized")
-        L = system.L_S.toarray()
+        L = supra_laplacian(system).toarray()
         n, M = g.n, g.M
         for t in range(M - 1):
             block = L[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n]
@@ -70,7 +71,7 @@ class TestBuildSupra:
     def test_non_adjacent_blocks_zero(self):
         g = undirected_teg(3, n_max=5, M_max=5)
         system = build_supra(g, 0.2, "unnormalized")
-        L = system.L_S.toarray()
+        L = supra_laplacian(system).toarray()
         n = g.n
         for s in range(g.M):
             for t in range(g.M):
@@ -81,7 +82,7 @@ class TestBuildSupra:
         for seed in range(5):
             g = undirected_teg(seed, n_max=8, M_max=4)
             system = build_supra(g, 0.4, "unnormalized")
-            L = system.L_S.toarray()
+            L = supra_laplacian(system).toarray()
             assert np.abs(L - L.T).max() <= 1e-10
             vals = np.linalg.eigvals(L)
             assert np.abs(vals.imag).max() <= 1e-10
@@ -97,7 +98,7 @@ class TestBuildSupra:
             H_vals = np.sort(eigvalsh(system.H.toarray()))
             np.testing.assert_allclose(np.sort(vals.real), H_vals, atol=1e-8)
             # and scaling H back gives that matrix
-            assert np.abs(system.L_S.toarray() - L_rw).max() <= 1e-12
+            assert np.abs(supra_laplacian(system).toarray() - L_rw).max() <= 1e-12
 
     def test_zero_coupling_decouples(self):
         g = undirected_teg(7, n_max=6, M_max=4)
@@ -106,7 +107,7 @@ class TestBuildSupra:
         for W in g.snapshots:
             Wd = W.toarray()
             expected.extend(eigvalsh(np.diag(Wd.sum(axis=1)) - Wd))
-        got = np.sort(eigvalsh(system.L_S.toarray()))
+        got = np.sort(eigvalsh(supra_laplacian(system).toarray()))
         np.testing.assert_allclose(got, np.sort(expected), atol=1e-8)
 
     def test_second_eigenvalue_monotone_in_coupling(self):
@@ -114,7 +115,7 @@ class TestBuildSupra:
         previous = -np.inf
         for a in [0.0, 0.01, 0.1, 0.5, 1.0, 5.0]:
             system = build_supra(g, a, "unnormalized")
-            lam2 = np.sort(eigvalsh(system.L_S.toarray()))[1]
+            lam2 = np.sort(eigvalsh(supra_laplacian(system).toarray()))[1]
             assert lam2 >= previous - 1e-10
             previous = lam2
 

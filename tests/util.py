@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from stgl import (GraphFormatError, TimeEvolvingGraph, assemble_system,
                   laplacian, propagate_densities)
@@ -127,6 +127,13 @@ def transfer_operator_C(ops):
     return sparse.csr_array(sparse.block_array(blocks, format="csr"))
 
 
+def supra_laplacian(system):
+    """The supra-Laplacian diag(scale) H diag(1 / scale) of a ``SupraSystem``."""
+    left = sparse.dia_array((system.scale[None, :], [0]), shape=system.H.shape)
+    right = sparse.dia_array((1.0 / system.scale[None, :], [0]), shape=system.H.shape)
+    return sparse.csr_array(left @ system.H @ right)
+
+
 def reference_random_walk_laplacian(graph, a, self_loops=True):
     """Dense I - D^{-1} W of the layered graph coupled with strength a.
 
@@ -178,8 +185,11 @@ def reference_eigendecompose(system, k_request):
     N x N matrix H - Q (T + 2I) Q^T, the deflated full-system solve.
     """
     def full_system(system, k, Q, T):
-        return symmetric_eigenpairs(system.symmetrized(), k,
-                                    low_rank=(Q, T + 2.0 * np.eye(system.M)))
+        H = system.symmetrized()
+        S = T + 2.0 * np.eye(system.M)
+        deflated = LinearOperator(H.shape, dtype=float,
+                                  matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
+        return symmetric_eigenpairs(deflated, k)
 
     with mock.patch.object(laplacian, "_coupling_eigenpairs", full_system):
         return laplacian.eigendecompose(system, k_request)
