@@ -81,6 +81,13 @@ def _add_cluster_options(parser):
     parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
 
+def _check_counts(args):
+    """Reject a --k or --restarts below 1 before any work or file write."""
+    for flag in ("k", "restarts"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+
+
 def _write_boxes(path, grid):
     """Box-grid geometry sidecar of a gyre graph, for spatial plotting."""
     io.write_json(path, {
@@ -112,6 +119,7 @@ def cmd_generate(args):
 
 
 def cmd_cluster(args):
+    _check_counts(args)
     graph, labels, source = _load_input(args)
     out = _resolve_out(args)
     timings = {}
@@ -137,6 +145,7 @@ def cmd_cluster(args):
 
 
 def cmd_baseline(args):
+    _check_counts(args)
     graph, labels, source = _load_input(args)
     a_grid = [float(v) for v in args.a_grid.split(",") if v.strip()]
     if not a_grid:
@@ -205,6 +214,7 @@ def cmd_spectrum(args):
 
 
 def cmd_gyre(args):
+    _check_counts(args)
     if args.views < 2:
         raise ValueError(f"--views must be at least 2, got {args.views}")
     out = _resolve_out(args)

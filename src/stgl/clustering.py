@@ -19,6 +19,9 @@ from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
                         assemble_system, eigendecompose)
 from .operators import propagate_densities
 
+# Lloyd updates per k-means run before it stops unconverged.
+LLOYD_MAX_ITER = 300
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -73,11 +76,12 @@ def _assign(points, centroids):
     return labels, inertia
 
 
-def _lloyd(points, k, rng, max_iter=300):
-    """One k-means run; returns (labels, inertia)."""
+def _lloyd(points, k, rng):
+    """One k-means run of at most ``LLOYD_MAX_ITER`` updates; returns
+    (labels, inertia)."""
     centroids = _kmeans_pp_init(points, k, rng)
     labels, inertia = _assign(points, centroids)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         repair_d2 = None
         for c in range(k):
             members = points[labels == c]

@@ -82,62 +82,72 @@ class UlamGrid:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def velocity(x, y, t, params: GyreParams):
-    """Velocity field of the oscillating double gyre; walls are no-flux."""
+def velocity(x, y, t, params: GyreParams, out=None):
+    """Velocity field of the oscillating double gyre; walls are no-flux.
+
+    ``out``, a float array of shape (4,) + the broadcast shape of x and y,
+    takes vx and vy in its first two rows, which are returned, and its last
+    two rows as scratch; without it a fresh one is used.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(x.shape, y.shape))
+    vx, vy, pf, py = (out[r, ...] for r in range(4))  # views, even when 0-d
     s = params.epsilon * np.sin(params.omega * t)
     # Each in-place update repeats one step of the plain expressions
     #   vx = -pi A sin(pi f) cos(pi y),  vy = pi A cos(pi f) sin(pi y) f'
     #   f = s x^2 + (1 - 2s) x,  f' = 2s x + 1 - 2s
-    # in the same order, so the bits match while fewer particle-sized
-    # temporaries are alive at once (two views integrate concurrently).
-    pf = s * x ** 2
-    pf += (1.0 - 2.0 * s) * x
+    # in the same order (up to commuting a product or a sum), so the bits match.
+    np.square(x, out=pf)
+    pf *= s
+    np.multiply(x, 1.0 - 2.0 * s, out=py)
+    pf += py
     pf *= np.pi
-    py = np.pi * y
-    vx = np.sin(pf)
+    np.multiply(y, np.pi, out=py)
+    np.sin(pf, out=vx)
     vx *= -np.pi * params.amplitude
-    vx *= np.cos(py)
-    vy = np.cos(pf)
+    np.cos(pf, out=vy)
     vy *= np.pi * params.amplitude
-    vy *= np.sin(py)
-    del pf, py
-    dfdx = 2.0 * s * x
-    dfdx += 1.0
-    dfdx -= 2.0 * s
-    vy *= dfdx
-    return vx, vy
+    np.cos(py, out=pf)
+    vx *= pf
+    np.sin(py, out=pf)
+    vy *= pf
+    np.multiply(x, 2.0 * s, out=pf)
+    pf += 1.0
+    pf -= 2.0 * s
+    vy *= pf
+    return vx[()], vy[()]  # a 0-d result as a scalar
 
 
-def _reflect(x, y):
-    x = np.where(x < 0.0, -x, x)
-    x = np.where(x > 2.0, 4.0 - x, x)
-    y = np.where(y < 0.0, -y, y)
-    y = np.where(y > 1.0, 2.0 - y, y)
-    return x, y
+def _rk4_step(pos, t, h, field, out, work):
+    """One classical step from ``pos`` = (x, y) into ``out``, both (2, ...)
+    float arrays, with ``work`` a (4, ...) scratch array.
 
-
-def _rk4_step(x, y, t, h, field):
-    # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right as each stage
-    # arrives, so only one stage's slopes are kept
-    k1x, k1y = field(x, y, t)
-    kx, ky = field(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h)
-    sx, sy = 2 * kx, 2 * ky
-    sx += k1x
-    sy += k1y
-    del k1x, k1y
-    kx, ky = field(x + 0.5 * h * kx, y + 0.5 * h * ky, t + 0.5 * h)
-    sx += 2 * kx
-    sy += 2 * ky
-    kx, ky = field(x + h * kx, y + h * ky, t + h)
-    sx += kx
-    sy += ky
-    sx *= h / 6.0
-    sy *= h / 6.0
-    sx += x
-    sy += y
-    return sx, sy
+    ``out`` sums k1 + 2 k2 + 2 k3 + k4 left to right as each slope
+    arrives, then scales it by h/6 and adds the position, the rounding
+    steps of x + h/6 (k1 + 2 k2 + 2 k3 + k4). Each slope is consumed
+    before the next ``field`` call, so ``field`` may return the same
+    arrays every time.
+    """
+    stage, double = work[:2], work[2:]
+    k = field(*pos, t)
+    for o, s, kc, p in zip(out, stage, k, pos):
+        np.copyto(o, kc)
+        np.multiply(kc, 0.5 * h, out=s)
+        s += p
+    for scale in (0.5 * h, h):
+        k = field(*stage, t + 0.5 * h)
+        for o, s, d, kc, p in zip(out, stage, double, k, pos):
+            np.multiply(kc, 2, out=d)
+            o += d
+            np.multiply(kc, scale, out=s)
+            s += p
+    k = field(*stage, t + h)
+    for o, kc, p in zip(out, k, pos):
+        o += kc
+        o *= h / 6.0
+        o += p
 
 
 def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
@@ -151,7 +161,8 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     wall-tangent, so reflections only correct integrator drift and kicks).
     A step that overshoots the domain by more than ``MAX_EXCURSION`` raises
     StepTooLarge; the check comes before the kick, which may legitimately
-    cross a wall by a few standard deviations.
+    cross a wall by a few standard deviations. Every particle-sized array
+    is allocated once per call, not per step.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -160,26 +171,35 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     steps = int(round((t1 - t0) / h))
     if steps < 1 or abs(t0 + steps * h - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError(f"step {h} does not divide interval [{t0}, {t1}]")
-    if field is None:
-        field = lambda x, y, t: velocity(x, y, t, params)
     state = np.asarray(state, dtype=float)
-    x, y = state[..., 0].copy(), state[..., 1].copy()
+    shape = state.shape[:-1]
+    if field is None:
+        slopes = np.empty((4,) + shape)
+        field = lambda x, y, t: velocity(x, y, t, params, out=slopes)
+    pos = np.moveaxis(state, -1, 0).copy()
+    new, work = np.empty((2,) + shape), np.empty((4,) + shape)
+    below = np.empty(shape, dtype=bool)
     kick = noise * np.sqrt(h)
     t = t0
     for _ in range(steps):
-        x, y = _rk4_step(x, y, t, h, field)
+        _rk4_step(pos, t, h, field, new, work)
+        pos, new = new, pos
+        x, y = pos
         if (x.min() < -MAX_EXCURSION or x.max() > 2.0 + MAX_EXCURSION
                 or y.min() < -MAX_EXCURSION or y.max() > 1.0 + MAX_EXCURSION):
             raise StepTooLarge(f"particle left the domain by more than "
                                f"{MAX_EXCURSION} at t={t + h:.4f}")
-        if noise:
-            x = x + kick * rng.standard_normal(x.shape)
-            y = y + kick * rng.standard_normal(y.shape)
-        x, y = _reflect(x, y)
+        for p, z, wall in zip(pos, work, (2.0, 1.0)):
+            if noise:
+                rng.standard_normal(out=z)
+                z *= kick
+                p += z
+            np.less(p, 0.0, out=below)
+            np.negative(p, out=p, where=below)
+            np.greater(p, wall, out=below)
+            np.subtract(2.0 * wall, p, out=p, where=below)
         t += h
-    out = np.empty(state.shape)
-    out[..., 0], out[..., 1] = x, y
-    return out
+    return np.moveaxis(pos, 0, -1).copy()
 
 
 def seed_particles(grid: UlamGrid, t, seed):

@@ -4,12 +4,21 @@ A graph file is a JSON document with integer fields ``n`` and ``M``, a
 boolean ``directed``, ``edges`` (records ``[t, i, j, w]`` with integer
 1-based view t and 0-based vertices, numeric w > 0; absent entries are
 zero) and optionally ``labels`` (M arrays of n integers). Undirected
-graphs store each edge once with i <= j; the loader mirrors it. All
-writers go through an atomic temp-file-plus-rename.
+graphs store each edge once with i <= j; the loader mirrors it. A header
+whose M n exceeds ``MAX_SYSTEM_SIZE`` is rejected before anything of size
+n is built.
+
+Every writer goes through one atomic handle, ``atomic_file``: a temp file
+in the destination directory, renamed over the destination on success and
+unlinked on any exception. The writers whose output grows with the input,
+``save_graph`` and ``save_eigenvectors_csv``, format and write their
+records ``WRITE_ROW_CHUNK`` at a time, so the file is never held as one
+string; the others write their text in one call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import itertools
@@ -27,18 +36,36 @@ from .errors import GraphFormatError
 from .graph import TimeEvolvingGraph
 
 
-def atomic_write_text(path, text):
+# The largest system size M n a graph file may declare: every vertex-view
+# index then fits the 32-bit indices of scipy's sparse arrays.
+MAX_SYSTEM_SIZE = 2**31 - 1
+
+# Records formatted per write by the streaming writers; a chunk of graph
+# records (about 70 bytes each) stays below glibc's default 128 KiB mmap
+# threshold, so its text is carved from the heap instead of mapped afresh.
+WRITE_ROW_CHUNK = 1024
+
+
+@contextlib.contextmanager
+def atomic_file(path):
+    """Text handle (``newline=""``) on a temp file beside ``path``, renamed
+    to ``path`` when the block exits cleanly and removed when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    with atomic_file(path) as handle:
+        handle.write(text)
 
 
 def write_json(path, payload):
@@ -47,25 +74,42 @@ def write_json(path, payload):
                                        default=lambda value: value.tolist()) + "\n")
 
 
-def _json_rows(specs, columns):
-    """``json.dumps(indent=2)`` text, at depth 1, of the rows ``zip(*columns)``."""
+def _row_chunks(template, columns, separator=""):
+    """``separator.join(template % row for row in zip(*columns))``, yielded
+    ``WRITE_ROW_CHUNK`` rows at a time; every chunk after the first starts
+    with ``separator``."""
+    for start in range(0, len(columns[0]), WRITE_ROW_CHUNK):
+        rows = zip(*(c[start:start + WRITE_ROW_CHUNK].tolist() for c in columns))
+        yield (separator if start else "") + separator.join(map(template.__mod__, rows))
+
+
+def _write_json_rows(handle, specs, columns):
+    """Write the ``json.dumps(indent=2)`` text, at depth 1, of the rows
+    ``zip(*columns)``."""
+    if not len(columns[0]):
+        handle.write("[]")
+        return
     template = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
-    rows = ",\n".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
-    return f"[\n{rows}\n  ]" if rows else "[]"
+    handle.write("[\n")
+    handle.writelines(_row_chunks(template, columns, ",\n"))
+    handle.write("\n  ]")
 
 
 def save_graph(path, graph: TimeEvolvingGraph, labels=None):
     """Write a graph (and optional ground-truth labels) as JSON: the text of
     ``json.dumps(payload, indent=2, sort_keys=True)``, with its ``%r`` floats."""
-    fields = [("M", graph.M), ("directed", json.dumps(bool(graph.directed))),
-              ("edges", _json_rows(["%d", "%d", "%d", "%r"], graph.edge_arrays()))]
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (graph.M, graph.n):
             raise ValueError(f"labels must be {(graph.M, graph.n)}")
-        fields.append(("labels", _json_rows(["%d"] * graph.n, labels.T)))
-    body = ",\n".join(f'  "{key}": {value}' for key, value in fields + [("n", graph.n)])
-    atomic_write_text(path, "{\n" + body + "\n}\n")
+    with atomic_file(path) as handle:
+        handle.write(f'{{\n  "M": {graph.M},\n  "directed": '
+                     f'{json.dumps(bool(graph.directed))},\n  "edges": ')
+        _write_json_rows(handle, ["%d", "%d", "%d", "%r"], graph.edge_arrays())
+        if labels is not None:
+            handle.write(',\n  "labels": ')
+            _write_json_rows(handle, ["%d"] * graph.n, labels.T)
+        handle.write(f',\n  "n": {graph.n}\n}}\n')
 
 
 def _edge_columns(edges):
@@ -125,6 +169,9 @@ def load_graph(path):
         if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
             raise GraphFormatError("header fields n and M must be integers, n "
                                    "positive, and directed a boolean")
+        if M * n > MAX_SYSTEM_SIZE:
+            raise GraphFormatError(f"n = {n} vertices over M = {M} views exceed "
+                                   f"the system size limit of {MAX_SYSTEM_SIZE}")
         t, i, j, w = _edge_columns(edges)
         del doc["edges"], edges  # else the first pass after would traverse them
     finally:
@@ -184,10 +231,11 @@ def save_eigenvectors_csv(path, embedding):
     """Columns: eig_index (1-based), view (1-based), vertex, value."""
     folded = embedding.folded
     index = np.indices(folded.shape).reshape(3, -1) + [[1], [1], [0]]
-    rows = zip(*index.tolist(), folded.astype(float).ravel().tolist())
     # write_csv's bytes: no value needs quoting, and %r of a float is its repr
-    atomic_write_text(path, "eig_index,view,vertex,value\r\n"
-                      + "".join(map("%d,%d,%d,%r\r\n".__mod__, rows)))
+    with atomic_file(path) as handle:
+        handle.write("eig_index,view,vertex,value\r\n")
+        handle.writelines(_row_chunks("%d,%d,%d,%r\r\n",
+                                      [*index, folded.astype(float).ravel()]))
 
 
 def save_labels_csv(path, labels):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stgl import clustering, laplacian, save_graph
+from stgl import cli, clustering, laplacian, save_graph
 from stgl.cli import main
 
 from util import (CORRUPTIONS, arpack_two_converged, clique_coupling_graph,
@@ -360,6 +361,39 @@ class TestGyre:
         out = tmp_path / "gyre"
         code = run(["gyre", "--views", str(views), "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+
+class TestCountOptions:
+    """--k and --restarts below 1 are rejected before any work or write."""
+
+    COMMANDS = {
+        "cluster": ["cluster", "--generator", "planted"],
+        "baseline": ["baseline", "--generator", "planted", "--a-grid", "0.5"],
+        "gyre": ["gyre"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--restarts", "0"),
+                                             ("--k", "-1"), ("--restarts", "-3")])
+    def test_rejected_up_front(self, tmp_path, monkeypatch, capsys, command,
+                               flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for owner, name in ((cli.gyre_mod, "gyre_graph"), (cli, "_load_input"),
+                            (cli, "spectral_cluster"), (cli.io, "atomic_file")):
+            monkeypatch.setattr(owner, name, never)
+        out = tmp_path / "out"
+        counts = {"--k": "2", "--restarts": "1", flag: value}
+        argv = self.COMMANDS[command] + [arg for pair in counts.items() for arg in pair]
+        argv += ["--out", str(out)]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least 1, got {value}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ class TestGraphFiles:
         path.write_text("not json at all")
         with pytest.raises(GraphFormatError):
             load_graph(path)
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # 2^41 vertex-views: the first CSR index array alone would be 8 TiB
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2**40, "M": 2, "directed": True,
+                                    "edges": [[1, 0, 1, 1.0]]}))
+        for loader in (load_graph, reference_load_graph):
+            with pytest.raises(GraphFormatError, match=f"n = {2**40} .* M = 2 "):
+                loader(path)
+
+    def test_system_size_limit_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(stgl_io, "MAX_SYSTEM_SIZE", 6)
+        path = tmp_path / "g.json"
+        for n, fits in ((3, True), (4, False)):
+            path.write_text(json.dumps({"n": n, "M": 2, "directed": True,
+                                        "edges": [[1, 0, 1, 1.0]]}))
+            for loader in (load_graph, reference_load_graph):
+                if fits:
+                    assert loader(path)[0].n == n
+                else:
+                    with pytest.raises(GraphFormatError, match="system size"):
+                        loader(path)
 
     def test_undirected_mirrored(self, tmp_path):
         path = tmp_path / "u.json"
@@ -372,6 +395,106 @@ class TestSaveGraphBytes:
         self.assert_dumps_bytes(tmp_path / "b1.json", *gen_benchmark1(0))
         self.assert_dumps_bytes(tmp_path / "b2.json", *gen_benchmark2(0))
         self.assert_dumps_bytes(tmp_path / "l.json", gen_line_graph())
+
+
+def _chain_graph(edges, M):
+    """Directed graph on 3 vertices with ``edges`` records at view 1."""
+    W = np.zeros((3, 3))
+    for (i, j), w in zip([(0, 1), (1, 2), (2, 0), (0, 0)][:edges],
+                         [0.1, 2.0, 1e-300, 12345678.9]):
+        W[i, j] = w
+    return TimeEvolvingGraph.from_dense([W] + [np.zeros((3, 3))] * (M - 1),
+                                        directed=True)
+
+
+def _record_counts(chunk):
+    return sorted({0, 1, chunk - 1, chunk, chunk + 1})
+
+
+class TestStreamedWriters:
+    """The chunked writers' bytes do not depend on where the chunks split."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_graph_bytes_across_chunk_edges(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(stgl_io, "WRITE_ROW_CHUNK", chunk)
+        for count in _record_counts(chunk):
+            # count edge records, and max(2, count) label rows
+            graph = _chain_graph(count, max(2, count))
+            labels = np.arange(graph.M * graph.n).reshape(graph.M, graph.n) % 3
+            for truth in (None, labels):
+                TestSaveGraphBytes.assert_dumps_bytes(tmp_path / "g.json",
+                                                      graph, truth)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_eigenvector_bytes_across_chunk_edges(self, tmp_path, monkeypatch,
+                                                  chunk):
+        monkeypatch.setattr(stgl_io, "WRITE_ROW_CHUNK", chunk)
+        for count in _record_counts(chunk):
+            k = min(count, 1)  # k x M x 1 records with M = count (M = 1 if 0)
+            M = max(count, 1)
+            vectors = np.linspace(-1.5, 2.5, M * k).reshape(M, k)
+            embedding = SpectralEmbedding(n=1, M=M, eigenvalues=np.ones(k),
+                                          vectors=vectors, tags=("spatial",) * k)
+            save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
+            rows = [[idx, t + 1, 0, repr(float(folded[t, 0]))]
+                    for idx, folded in enumerate(embedding.folded, start=1)
+                    for t in range(M)]
+            assert len(rows) == count
+            assert (tmp_path / "vec.csv").read_bytes() == _csv_writer_bytes(
+                ["eig_index", "view", "vertex", "value"], rows)
+
+    @staticmethod
+    def fail_after_first_chunk(monkeypatch):
+        """Make every streamed write raise once its first chunk is written;
+        returns the list of chunks written."""
+        monkeypatch.setattr(stgl_io, "WRITE_ROW_CHUNK", 1)
+        real = stgl_io._row_chunks
+        written = []
+
+        def failing(*args, **kwargs):
+            for chunk in real(*args, **kwargs):
+                yield chunk
+                written.append(chunk)
+                raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(stgl_io, "_row_chunks", failing)
+        return written
+
+    @pytest.mark.parametrize("write", ["graph", "vectors"])
+    def test_failure_after_first_chunk_leaves_no_file(self, tmp_path,
+                                                      monkeypatch, write):
+        written = self.fail_after_first_chunk(monkeypatch)
+        embedding = SpectralEmbedding(n=3, M=2, eigenvalues=np.ones(1),
+                                      vectors=np.ones((6, 1)), tags=("spatial",))
+        with pytest.raises(RuntimeError, match="disk gone"):
+            if write == "graph":
+                save_graph(tmp_path / "g.json", _chain_graph(3, 2))
+            else:
+                save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
+        assert len(written) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.json"
+        save_graph(path, _chain_graph(2, 2))
+        before = path.read_bytes()
+        self.fail_after_first_chunk(monkeypatch)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_graph(path, _chain_graph(3, 2))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["g.json"]
+
+    def test_graph_write_allocates_less_than_the_file(self, tmp_path):
+        # the whole text of benchmark2 (15 MB) is never held in memory
+        graph, labels = gen_benchmark2(0)
+        path = tmp_path / "b2.json"
+        tracemalloc.start()
+        try:
+            save_graph(path, graph, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 def _csv_writer_bytes(header, rows):

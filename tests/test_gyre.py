@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from stgl import (GraphFormatError, GyreParams, StepTooLarge, UlamGrid,
                   gyre_graph, integrate_rk4, ulam_counts, velocity)
 from stgl import gyre
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def zero_field(x, y, t):
@@ -65,8 +71,9 @@ class TestVelocity:
                 for got, want in zip(velocity(x, y, t, params),
                                      plain_velocity(x, y, t, params)):
                     assert np.array_equal(got, want)
-                for got, want in zip(gyre._rk4_step(x, y, t, 0.01, field),
-                                     plain_rk4_step(x, y, t, 0.01, field)):
+                got = np.empty((2, x.size))
+                gyre._rk4_step((x, y), t, 0.01, field, got, np.empty((4, x.size)))
+                for got, want in zip(got, plain_rk4_step(x, y, t, 0.01, field)):
                     assert np.array_equal(got, want)
 
     def test_parameter_validation(self):
@@ -121,6 +128,60 @@ class TestIntegrateRK4:
             x = x + 0.05 * rng.standard_normal(2)
             y = y + 0.05 * rng.standard_normal(2)
         np.testing.assert_array_equal(out, np.column_stack([x, y]))
+
+    @pytest.mark.parametrize("custom_field", [False, True])
+    def test_bits_match_allocating_steps(self, custom_field):
+        # particles hugging the walls, kicked hard enough to cross them
+        params = GyreParams()
+        rng = np.random.default_rng(5)
+        x = np.r_[rng.uniform(0.0, 0.02, 300), rng.uniform(1.98, 2.0, 300),
+                  rng.uniform(0.0, 2.0, 400)]
+        y = np.r_[rng.uniform(0.0, 1.0, 600), rng.uniform(0.0, 0.02, 200),
+                  rng.uniform(0.98, 1.0, 200)]
+        plain = lambda x, y, t: plain_velocity(x, y, t, params)
+        field = plain if custom_field else None
+        h, steps, noise = 0.05, 12, 0.3
+        out = integrate_rk4(np.column_stack([x, y]), 0.0, h * steps, h, params,
+                            field=field, noise=noise, rng=np.random.default_rng(9))
+        draws = np.random.default_rng(9)
+        kick = noise * np.sqrt(h)
+        hits, t = 0, 0.0
+        for _ in range(steps):
+            x, y = plain_rk4_step(x, y, t, h, plain)
+            t += h  # the integrator's clock, summed step by step
+            x = x + kick * draws.standard_normal(x.shape)
+            y = y + kick * draws.standard_normal(y.shape)
+            hits += np.sum((x < 0) | (x > 2)) + np.sum((y < 0) | (y > 1))
+            x = np.where(x < 0.0, -x, x)
+            x = np.where(x > 2.0, 4.0 - x, x)
+            y = np.where(y < 0.0, -y, y)
+            y = np.where(y > 1.0, 2.0 - y, y)
+        assert hits > 100
+        assert np.array_equal(out, np.column_stack([x, y]))
+
+    def test_keeps_leading_particle_axes(self):
+        state = np.random.default_rng(1).uniform(0.2, 0.8, (3, 4, 2))
+        out = integrate_rk4(state, 0.0, 0.5, 0.1, GyreParams())
+        flat = integrate_rk4(state.reshape(-1, 2), 0.0, 0.5, 0.1, GyreParams())
+        assert out.shape == state.shape
+        assert np.array_equal(out.reshape(-1, 2), flat)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="minor page faults are read from Linux getrusage")
+    def test_fresh_view_integration_barely_faults(self):
+        # a step that allocated particle-sized temporaries would map and
+        # unmap them afresh each time in a new process: 60-83k minor faults
+        # per default view, against about 2k here
+        script = ("import resource; from stgl import gyre; "
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                  "gyre.ulam_counts(gyre.UlamGrid(), gyre.GyreParams(), 0.0, 0, "
+                  "noise=gyre.DEFAULT_GYRE_NOISE); "
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert int(done.stdout) < 10_000
 
     def test_noise_needs_generator(self):
         with pytest.raises(ValueError):
@@ -207,7 +268,7 @@ class TestGyreGraph:
     def test_failing_view_stops_the_pool(self, monkeypatch):
         before = threading.active_count()
         monkeypatch.setattr(gyre, "velocity",
-                            lambda x, y, t, params: runaway(x, y, t))
+                            lambda x, y, t, params, out=None: runaway(x, y, t))
         with pytest.raises(StepTooLarge):
             gyre_graph(self.GRID, M=4)
         assert threading.active_count() == before

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
+import stgl.io as stgl_io
 from stgl import (GraphFormatError, TimeEvolvingGraph, assemble_system,
                   laplacian, propagate_densities)
 from stgl.laplacian import symmetric_eigenpairs
@@ -227,6 +228,9 @@ def reference_load_graph(path):
     if not (type(n) is type(M) is int and n >= 1 and type(directed) is bool):
         raise GraphFormatError("header fields n and M must be integers, n "
                                "positive, and directed a boolean")
+    if M * n > stgl_io.MAX_SYSTEM_SIZE:
+        raise GraphFormatError(f"n = {n} vertices over M = {M} views exceed "
+                               f"the system size limit of {stgl_io.MAX_SYSTEM_SIZE}")
 
     entries = [dict() for _ in range(M)]
     for t, i, j, w in _reference_edge_records(edges):
