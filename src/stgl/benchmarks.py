@@ -24,7 +24,6 @@ class BenchmarkSpec:
 
     n: int
     M: int
-    k_true: int
     block_membership: np.ndarray = field(repr=False)
     p_in: float
     p_out: float
@@ -101,7 +100,7 @@ def gen_benchmark1(seed=0):
     Returns (graph, ground-truth labels).
     """
     membership = benchmark1_membership()
-    spec = BenchmarkSpec(n=300, M=10, k_true=3, block_membership=membership,
+    spec = BenchmarkSpec(n=300, M=10, block_membership=membership,
                          p_in=0.5, p_out=0.004, weight_range=BENCHMARK1_WEIGHTS,
                          seed=seed)
     return gen_planted_partition(spec), membership.copy()
@@ -178,6 +177,6 @@ def gen_line_graph() -> TimeEvolvingGraph:
 def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0):
     """A time-constant planted partition, mostly for tests and examples."""
     membership = np.tile(np.repeat(np.arange(blocks), n // blocks), (M, 1))
-    spec = BenchmarkSpec(n=n, M=M, k_true=blocks, block_membership=membership,
+    spec = BenchmarkSpec(n=n, M=M, block_membership=membership,
                          p_in=p_in, p_out=p_out, seed=seed)
     return gen_planted_partition(spec), membership.copy()

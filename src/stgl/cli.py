@@ -15,45 +15,33 @@ import time
 
 from . import benchmarks, gyre as gyre_mod, io, supra as supra_mod, walks
 from .clustering import score_against, spectral_cluster
-from .errors import (GraphFormatError, InsufficientSpatialEigenvectors,
-                     StglError, UnknownGenerator)
+from .errors import GraphFormatError, InsufficientSpatialEigenvectors, StglError
 from .laplacian import assemble_system, eigendecompose
 from .operators import propagate_densities
 
 OUT_DIR_ENV = "STGL_OUT_DIR"
 
-GENERATORS = ("benchmark1", "benchmark2", "linegraph", "planted", "gyre")
+# name -> (seed -> (graph, labels or None), planted cluster count)
+GENERATORS = {
+    "benchmark1": (benchmarks.gen_benchmark1, 3),
+    "benchmark2": (benchmarks.gen_benchmark2, 4),
+    "linegraph": (lambda seed: (benchmarks.gen_line_graph(), None), 3),
+    "planted": (lambda seed: benchmarks.static_blocks(seed=seed), 2),
+    "gyre": (lambda seed: (gyre_mod.gyre_graph(
+        gyre_mod.UlamGrid(), gyre_mod.GyreParams(), seed=seed), None), 2),
+}
 
-EXIT_CONFIG = 2
-EXIT_FORMAT = 3
-EXIT_NUMERICAL = 4
-EXIT_INSUFFICIENT = 5
-
-
-def _generate(name, seed):
-    """Returns (graph, labels-or-None, info dict)."""
-    if name == "benchmark1":
-        graph, labels = benchmarks.gen_benchmark1(seed)
-        return graph, labels, {"k_true": 3}
-    if name == "benchmark2":
-        graph, labels = benchmarks.gen_benchmark2(seed)
-        return graph, labels, {"k_true": 4}
-    if name == "linegraph":
-        return benchmarks.gen_line_graph(), None, {"k_true": 3}
-    if name == "planted":
-        graph, labels = benchmarks.static_blocks(seed=seed)
-        return graph, labels, {"k_true": 2}
-    if name == "gyre":
-        grid = gyre_mod.UlamGrid()
-        graph = gyre_mod.gyre_graph(grid, gyre_mod.GyreParams(), seed=seed)
-        return graph, None, {"k_true": 2, "grid": grid}
-    raise UnknownGenerator(f"unknown generator {name!r}; expected one of {GENERATORS}")
+# main's exit code of an error: the first entry whose classes it is an instance of
+ERROR_CODES = (
+    (InsufficientSpatialEigenvectors, 5),
+    ((GraphFormatError, FileNotFoundError), 3),
+    (ValueError, 2),
+    (StglError, 4),  # ConvergenceFailure, DensityVanished, StepTooLarge, ...
+)
 
 
 def _resolve_out(args):
-    out = getattr(args, "out", None)
-    if out is None:
-        out = os.environ.get(OUT_DIR_ENV, ".")
+    out = os.environ.get(OUT_DIR_ENV, ".") if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -62,7 +50,7 @@ def _load_input(args):
     if args.input is not None:
         graph, labels = io.load_graph(args.input)
         return graph, labels, {"input": args.input}
-    graph, labels, _ = _generate(args.generator, args.gen_seed)
+    graph, labels = GENERATORS[args.generator][0](args.gen_seed)
     return graph, labels, {"generator": args.generator, "gen_seed": args.gen_seed}
 
 
@@ -78,7 +66,6 @@ def _add_input_options(parser):
 def _add_cluster_options(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
 
 
 def _check_counts(args):
@@ -107,14 +94,14 @@ def _save_pipeline(out, result, **results):
 
 
 def cmd_generate(args):
-    graph, labels, info = _generate(args.name, args.seed)
-    out = _resolve_out(args)
-    path = args.file or os.path.join(out, f"{args.name}.json")
+    generate, k_true = GENERATORS[args.name]
+    graph, labels = generate(args.seed)
+    path = args.file or os.path.join(_resolve_out(args), f"{args.name}.json")
     io.save_graph(path, graph, labels)
     if args.name == "gyre":
-        _write_boxes(os.path.splitext(path)[0] + "_boxes.json", info["grid"])
+        _write_boxes(os.path.splitext(path)[0] + "_boxes.json", gyre_mod.UlamGrid())
     print(f"{args.name}: n={graph.n} M={graph.M} directed={graph.directed} "
-          f"k_true={info.get('k_true')} -> {path}")
+          f"k_true={k_true} -> {path}")
     return 0
 
 
@@ -237,8 +224,8 @@ def cmd_gyre(args):
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
     results = _save_pipeline(out, result, boundary_x=boundary,
                              boundary_amplitude=amplitude)
-    io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"],
-                  [[t + 1, repr(float(b))] for t, b in enumerate(boundary)])
+    io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"], "%d,%r",
+                 [range(1, len(boundary) + 1), boundary])
     config = {"command": "gyre", "k": args.k, "views": args.views,
               "gen_seed": args.gen_seed, "seed": args.seed,
               "restarts": args.restarts}
@@ -280,7 +267,6 @@ def build_parser():
     p.add_argument("name", choices=GENERATORS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--file", help="explicit output file path")
-    p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("cluster", help="full clustering pipeline")
@@ -311,7 +297,6 @@ def build_parser():
                    help="include negative eigenvalues")
     p.add_argument("--no-self-loops", action="store_true")
     p.add_argument("--export-vectors", action="store_true")
-    p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gyre", help="double-gyre pipeline end to end")
@@ -328,9 +313,11 @@ def build_parser():
     p.add_argument("--walkers", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-self-loops", action="store_true")
-    p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p.set_defaults(func=cmd_walk)
 
+    # every subcommand's last option, so each usage line ends with it
+    for p in sub.choices.values():
+        p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     return parser
 
 
@@ -339,18 +326,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientSpatialEigenvectors as err:
+    except (StglError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except (GraphFormatError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (UnknownGenerator, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StglError as err:  # ConvergenceFailure, DensityVanished, StepTooLarge, ...
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for types, code in ERROR_CODES if isinstance(err, types))
 
 
 if __name__ == "__main__":

@@ -9,25 +9,23 @@ whose M n exceeds ``MAX_SYSTEM_SIZE`` is rejected before anything of size
 n is built.
 
 Every writer goes through one atomic handle, ``atomic_file``: a temp file
-in the destination directory, renamed over the destination on success and
-unlinked on any exception. The writers whose output grows with the input,
-``save_graph`` and ``save_eigenvectors_csv``, format and write their
-records ``WRITE_ROW_CHUNK`` at a time, so the file is never held as one
-string; the others write their text in one call.
+in the destination directory, created with the mode ``open(path, "w")``
+would give, renamed over the destination on success and unlinked on any
+exception. ``save_graph`` and every CSV file, through the one CSV writer
+``write_csv``, format and write their records ``WRITE_ROW_CHUNK`` at a
+time, so the file is never held as one string; the JSON reports are
+written in one call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import gc
 import itertools
 import json
 import math
 import operator
 import os
-import tempfile
-from io import StringIO
 
 import numpy as np
 from scipy import sparse
@@ -52,7 +50,11 @@ def atomic_file(path):
     to ``path`` when the block exits cleanly and removed when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    while True:  # mode 0o666 under the umask, where mkstemp would give 0o600
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
@@ -139,11 +141,10 @@ def _reject_first(bad, message):
         raise GraphFormatError(message(bad.argmax()))
 
 
-def _edge_order(t, i, j, n, M):
+def _edge_order(t, i, j, n):
     """``np.lexsort((j, i, t))`` for t in [1, M] and i, j in [0, n): one stable
-    sort of the key (t n + i) n + j wherever its bound (M + 1) n² fits in int64."""
-    if (max(M, 0) + 1) * n * n > 2**63:  # an M below 1 leaves no records
-        return np.lexsort((j, i, t))
+    sort of the key (t n + i) n + j. The header check keeps M n at most
+    ``MAX_SYSTEM_SIZE``, so every key is below (M + 1) n² <= 2 (2³¹ - 1)² < 2⁶³."""
     return np.argsort((t * n + i) * n + j, kind="stable")
 
 
@@ -187,7 +188,7 @@ def load_graph(path):
         off = i != j
         t, i, j, w = (np.concatenate([a, b[off]])
                       for a, b in ((t, t), (i, j), (j, i), (w, w)))
-    order = _edge_order(t, i, j, n, M)
+    order = _edge_order(t, i, j, n)
     t, i, j, w = t[order], i[order], j[order], w[order]
     # t[0] >= 1, so the first record always starts a new (t, i, j) key
     new = np.diff(np.stack([t, i, j]), axis=1, prepend=0).any(axis=0)
@@ -212,39 +213,36 @@ def load_graph(path):
     return graph, labels
 
 
-def write_csv(path, header, rows):
-    buffer = StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buffer.getvalue())
+def write_csv(path, header, template, columns):
+    """The CSV lines of ``header`` and of ``template % row`` for each row of
+    ``zip(*columns)``, ended by CRLF as the csv module ends them; no field
+    written here needs quoting, and ``%r`` of a float is its repr."""
+    with atomic_file(path) as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(_row_chunks(template + "\r\n",
+                                      [np.asarray(c) for c in columns]))
 
 
 def save_spectrum_csv(path, eigenvalues, tags):
     """Columns: index (1-based), eigenvalue_C, eigenvalue_L, tag."""
-    rows = [[i + 1, repr(float(ev)), repr(float(1.0 - ev)), tag]
-            for i, (ev, tag) in enumerate(zip(eigenvalues, tags))]
-    write_csv(path, ["index", "eigenvalue_C", "eigenvalue_L", "tag"], rows)
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    write_csv(path, ["index", "eigenvalue_C", "eigenvalue_L", "tag"], "%d,%r,%r,%s",
+              [np.arange(1, len(eigenvalues) + 1), eigenvalues, 1.0 - eigenvalues, tags])
 
 
 def save_eigenvectors_csv(path, embedding):
     """Columns: eig_index (1-based), view (1-based), vertex, value."""
     folded = embedding.folded
     index = np.indices(folded.shape).reshape(3, -1) + [[1], [1], [0]]
-    # write_csv's bytes: no value needs quoting, and %r of a float is its repr
-    with atomic_file(path) as handle:
-        handle.write("eig_index,view,vertex,value\r\n")
-        handle.writelines(_row_chunks("%d,%d,%d,%r\r\n",
-                                      [*index, folded.astype(float).ravel()]))
+    write_csv(path, ["eig_index", "view", "vertex", "value"], "%d,%d,%d,%r",
+              [*index, folded.astype(float).ravel()])
 
 
 def save_labels_csv(path, labels):
     """Columns: view (1-based), vertex, label."""
     labels = np.asarray(labels)
     index = np.indices(labels.shape).reshape(2, -1) + [[1], [0]]
-    rows = zip(*index.tolist(), labels.ravel().tolist())
-    atomic_write_text(path, "view,vertex,label\r\n"
-                      + "".join(map("%d,%d,%d\r\n".__mod__, rows)))
+    write_csv(path, ["view", "vertex", "label"], "%d,%d,%d", [*index, labels.ravel()])
 
 
 def write_report(path, config, results, timings):

@@ -40,7 +40,7 @@ DEFAULT_TAU = 0.05
 
 @dataclass(frozen=True)
 class SupraSystem:
-    """The assembled supra-Laplacian and its construction parameters.
+    """The assembled supra-Laplacian of an n-vertex, M-view graph.
 
     ``H`` is the symmetric matrix whose eigendecomposition solves the
     supra-Laplacian L_S = diag(scale) H diag(1 / scale), and ``scale`` maps
@@ -50,8 +50,6 @@ class SupraSystem:
 
     n: int
     M: int
-    a: float
-    laplacian_variant: str
     H: sparse.csr_array = field(repr=False)
     scale: np.ndarray = field(repr=False)
 
@@ -100,8 +98,7 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
         degrees = (np.asarray(blocks.sum(axis=1)).ravel()
                    + a * np.asarray(coupling.sum(axis=1)).ravel())
         H = sparse.csr_array(sparse.dia_array((degrees[None, :], [0]), shape=W.shape) - W)
-        return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
-                           H=H, scale=np.ones(N))
+        return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
 
     del blocks  # only W is read below; the copy would raise the peak memory
     degrees = np.asarray(W.sum(axis=1)).ravel()
@@ -110,8 +107,7 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
                                 shape=W.shape)
     H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
     H = sparse.csr_array((H + H.T) * 0.5)
-    return SupraSystem(n=n, M=M, a=float(a), laplacian_variant=variant,
-                       H=H, scale=1.0 / np.sqrt(degrees))
+    return SupraSystem(n=n, M=M, H=H, scale=1.0 / np.sqrt(degrees))
 
 
 def classify_folded(folded):

@@ -97,7 +97,7 @@ class TestLineGraph:
 class TestPlantedPartition:
     def test_zero_noise_is_block_diagonal(self):
         membership = np.tile(np.repeat([0, 1], 10), (3, 1))
-        spec = BenchmarkSpec(n=20, M=3, k_true=2, block_membership=membership,
+        spec = BenchmarkSpec(n=20, M=3, block_membership=membership,
                              p_in=0.8, p_out=0.0, seed=0)
         g = gen_planted_partition(spec)
         for t in range(1, 4):
@@ -107,7 +107,7 @@ class TestPlantedPartition:
 
     def test_equal_probabilities_no_signal(self):
         membership = np.tile(np.repeat([0, 1], 40), (2, 1))
-        spec = BenchmarkSpec(n=80, M=2, k_true=2, block_membership=membership,
+        spec = BenchmarkSpec(n=80, M=2, block_membership=membership,
                              p_in=0.4, p_out=0.4, seed=1)
         g = gen_planted_partition(spec)
         # edge counts: the signal in question is which edges exist
@@ -118,21 +118,18 @@ class TestPlantedPartition:
 
     def test_membership_shape_validated(self):
         with pytest.raises(ValueError):
-            BenchmarkSpec(n=10, M=2, k_true=2,
-                          block_membership=np.zeros((3, 10), dtype=int),
+            BenchmarkSpec(n=10, M=2, block_membership=np.zeros((3, 10), dtype=int),
                           p_in=0.5, p_out=0.1)
 
     def test_probability_order_validated(self):
         with pytest.raises(ValueError):
-            BenchmarkSpec(n=10, M=2, k_true=2,
-                          block_membership=np.zeros((2, 10), dtype=int),
+            BenchmarkSpec(n=10, M=2, block_membership=np.zeros((2, 10), dtype=int),
                           p_in=0.1, p_out=0.5)
 
     def test_weight_laws(self):
         membership = np.tile(np.repeat([0, 1], 10), (2, 1))
         for low, high in [(0.5, 1.5), (0.006, 0.018)]:
-            spec = BenchmarkSpec(n=20, M=2, k_true=2,
-                                 block_membership=membership, p_in=0.9,
+            spec = BenchmarkSpec(n=20, M=2, block_membership=membership, p_in=0.9,
                                  p_out=0.05, weight_range=(low, high), seed=2)
             g = gen_planted_partition(spec)
             for W in g.snapshots:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from stgl import cli, clustering, laplacian, save_graph
 from stgl.cli import main
 
+from test_graph_io import _csv_writer_bytes
 from util import (CORRUPTIONS, arpack_two_converged, clique_coupling_graph,
                   corrupt, random_teg, rank_one_coupling_graph)
 
@@ -83,6 +84,14 @@ class TestGenerate:
         monkeypatch.setenv("STGL_OUT_DIR", str(tmp_path / "envout"))
         assert run(["generate", "linegraph"]) == 0
         assert (tmp_path / "envout" / "linegraph.json").exists()
+
+    def test_file_leaves_the_out_dir_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STGL_OUT_DIR", str(tmp_path / "unused"))
+        path = tmp_path / "line.json"
+        assert run(["generate", "linegraph", "--file", str(path),
+                    "--out", str(tmp_path / "unused_too")]) == 0
+        assert run(["generate", "linegraph", "--file", str(path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["line.json"]
 
 
 class TestCluster:
@@ -352,6 +361,14 @@ class TestGyre:
         doc = json.loads((out / "report.json").read_text())
         amp = doc["results"]["boundary_amplitude"]
         assert 0.15 <= amp <= 0.35
+        results = doc["results"]
+        assert (out / "boundary.csv").read_bytes() == _csv_writer_bytes(
+            ["view", "boundary_x"],
+            [[t, repr(b)] for t, b in enumerate(results["boundary_x"], start=1)])
+        assert (out / "spectrum.csv").read_bytes() == _csv_writer_bytes(
+            ["index", "eigenvalue_C", "eigenvalue_L", "tag"],
+            [[i, repr(ev), repr(1.0 - ev), tag] for i, (ev, tag) in
+             enumerate(zip(results["eigenvalues"], results["tags"]), start=1)])
         boxes = json.loads((out / "gyre_boxes.json").read_text())
         assert boxes["nx"] == 40 and boxes["ny"] == 20
         assert len(boxes["centers"]) == 800

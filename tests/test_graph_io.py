@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import stat
 import tempfile
 import tracemalloc
 
@@ -16,8 +17,8 @@ import stgl.io as stgl_io
 from stgl import (GraphFormatError, SpectralEmbedding, TimeEvolvingGraph,
                   gen_benchmark1, gen_benchmark2, gen_line_graph, load_graph,
                   save_graph, static_blocks)
-from stgl.io import (_edge_order, save_eigenvectors_csv, save_labels_csv,
-                     write_csv, write_report)
+from stgl.io import (_edge_order, atomic_write_text, save_eigenvectors_csv,
+                     save_labels_csv, save_spectrum_csv, write_csv, write_report)
 
 from util import (CORRUPTIONS, corrupt, random_teg, reference_graph_payload,
                   reference_load_graph)
@@ -306,8 +307,8 @@ class TestEdgeOrder:
         """Each ``_edge_order`` result of a load, compared with the lexsort."""
         results = []
 
-        def checking(t, i, j, n, M):
-            order = _edge_order(t, i, j, n, M)
+        def checking(t, i, j, n):
+            order = _edge_order(t, i, j, n)
             results.append(np.array_equal(order, np.lexsort((j, i, t))))
             return order
 
@@ -335,18 +336,27 @@ class TestEdgeOrder:
         assert checked == [True]
 
     @pytest.mark.parametrize("M", [1, 3])
-    def test_exact_where_the_key_would_overflow(self, M):
-        # at n = 2**31, (M + 1) n² is 2**63 for M = 1, whose largest key
-        # 2**63 - 1 still fits in int64, and 2**64 for M = 3, where the key
-        # (t n + i) n + j would wrap; no graph this large can be allocated
-        n = 2**31
+    def test_exact_where_the_key_would_overflow(self, tmp_path, M):
+        # at n = 2**31, (M + 1) n² is 2**63 for M = 1 and 2**64 for M = 3, where
+        # the key (t n + i) n + j would wrap; the header check refuses such a
+        # file before any sort, and at the largest n it accepts for M views,
+        # with t = M and i = j = n - 1, the largest key (M + 1) n² - 1 still
+        # fits in int64 (no graph this large is allocated)
+        assert (M + 1) * 2**62 >= 2**63
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2**31, "M": M, "directed": True,
+                                    "edges": [[1, 0, 0, 1.0]]}))
+        with pytest.raises(GraphFormatError, match="system size"):
+            load_graph(path)
+        n = stgl_io.MAX_SYSTEM_SIZE // M
         rng = np.random.default_rng(M)
         extremes = np.array([0, 1, n - 2, n - 1])
         t = rng.integers(1, M + 1, 4000)
         i, j = (np.where(rng.random(4000) < 0.5, rng.integers(0, n, 4000),
                          rng.choice(extremes, 4000)) for _ in range(2))
-        assert (M + 1) * n * n >= 2**63
-        np.testing.assert_array_equal(_edge_order(t, i, j, n, M),
+        t[:2], i[:2], j[:2] = M, n - 1, [n - 1, n - 2]
+        assert int(((t * n + i) * n + j).max()) == (M + 1) * n * n - 1 < 2**63
+        np.testing.assert_array_equal(_edge_order(t, i, j, n),
                                       np.lexsort((j, i, t)))
 
 
@@ -460,7 +470,7 @@ class TestStreamedWriters:
         monkeypatch.setattr(stgl_io, "_row_chunks", failing)
         return written
 
-    @pytest.mark.parametrize("write", ["graph", "vectors"])
+    @pytest.mark.parametrize("write", ["graph", "vectors", "labels"])
     def test_failure_after_first_chunk_leaves_no_file(self, tmp_path,
                                                       monkeypatch, write):
         written = self.fail_after_first_chunk(monkeypatch)
@@ -469,8 +479,10 @@ class TestStreamedWriters:
         with pytest.raises(RuntimeError, match="disk gone"):
             if write == "graph":
                 save_graph(tmp_path / "g.json", _chain_graph(3, 2))
-            else:
+            elif write == "vectors":
                 save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
+            else:
+                save_labels_csv(tmp_path / "labels.csv", np.zeros((2, 3), dtype=int))
         assert len(written) == 1
         assert os.listdir(tmp_path) == []
 
@@ -507,16 +519,63 @@ def _csv_writer_bytes(header, rows):
 
 class TestWriters:
     def test_csv_bytes_and_no_temp_files(self, tmp_path):
-        rows = [[1, 0, "0.5"], [2, 1, 'a "quoted", field']]
-        write_csv(tmp_path / "t.csv", ["view", "vertex", "value"], rows)
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["view", "vertex", "value"])
-        writer.writerows(rows)
-        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
-        assert b"\r\n" in (tmp_path / "t.csv").read_bytes()
-        assert os.listdir(tmp_path) == ["t.csv"]
+        header = ["view", "vertex", "value", "tag"]
+        columns = [np.arange(1, 5), np.array([0, 1, -1, 7]),
+                   np.array([0.5, -0.0, 1e-300, 12345678.9]),
+                   ["spatial", "temporal", "constant", "spatial"]]
+        write_csv(tmp_path / "t.csv", header, "%d,%d,%r,%s", columns)
+        rows = [[t, v, repr(x), tag] for t, v, x, tag in
+                zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist(),
+                    columns[3])]
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == _csv_writer_bytes(header, rows)
+        assert b",-0.0,temporal\r\n" in data and b",1e-300," in data
+        write_csv(tmp_path / "empty.csv", header, "%d,%d,%r,%s", [[], [], [], []])
+        assert (tmp_path / "empty.csv").read_bytes() == _csv_writer_bytes(header, [])
+        assert sorted(os.listdir(tmp_path)) == ["empty.csv", "t.csv"]
 
+    def test_spectrum_csv_bytes(self, tmp_path):
+        eigenvalues = np.array([1.0, 0.25, -0.0, 1e-300, -0.75, 1 / 3])
+        tags = ("constant", "spatial", "temporal", "spatial", "temporal", "spatial")
+        save_spectrum_csv(tmp_path / "spectrum.csv", eigenvalues, tags)
+        rows = [[i + 1, repr(float(ev)), repr(float(1.0 - ev)), tag]
+                for i, (ev, tag) in enumerate(zip(eigenvalues, tags))]
+        data = (tmp_path / "spectrum.csv").read_bytes()
+        assert data == _csv_writer_bytes(
+            ["index", "eigenvalue_C", "eigenvalue_L", "tag"], rows)
+        assert b"3,-0.0,1.0,temporal\r\n" in data and b"4,1e-300,1.0," in data
+
+    @pytest.fixture()
+    def umask_027(self):
+        old = os.umask(0o027)
+        try:
+            yield
+        finally:
+            os.umask(old)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_mode_follows_the_umask(self, tmp_path, umask_027):
+        # as open(path, "w") creates a file, for a new and a replaced one
+        replaced = tmp_path / "old.csv"
+        replaced.write_text("old")
+        os.chmod(replaced, 0o600)
+        save_labels_csv(tmp_path / "new.csv", np.zeros((2, 3), dtype=int))
+        atomic_write_text(replaced, "new")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.iterdir()}
+        assert modes == {"new.csv": 0o640, "old.csv": 0o640, "plain.txt": 0o640}
+        assert replaced.read_text() == "new"
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".tmp-{bytes(8).hex()}"
+        taken.write_text("someone else's")
+        draws = iter([bytes(8), bytes(range(8))])
+        monkeypatch.setattr(stgl_io.os, "urandom", lambda size: next(draws))
+        atomic_write_text(tmp_path / "t.txt", "mine")
+        assert taken.read_text() == "someone else's"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "t.txt"]
 
     def test_labels_csv_bytes(self, tmp_path):
         labels = np.array([[0, 1, 1, 2], [2, 2, 0, -1], [1, 0, 0, 0]])
