@@ -15,7 +15,7 @@ from .clustering import (ClusteringResult, Embedding, PipelineResult,
 from .errors import (ConvergenceFailure, DegenerateInput, DensityVanished,
                      DirectedInput, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
-                     UnknownGenerator, ZeroOutDegree)
+                     ZeroOutDegree)
 from .graph import TimeEvolvingGraph
 from .gyre import (GyreParams, UlamGrid, boundary_columns, gyre_graph,
                    integrate_rk4, ulam_counts, velocity)
@@ -33,7 +33,7 @@ __all__ = [
     "kmeans", "score_against", "select_spatial", "spectral_cluster",
     "ConvergenceFailure", "DegenerateInput", "DensityVanished",
     "DirectedInput", "GraphFormatError", "InsufficientSpatialEigenvectors",
-    "StepTooLarge", "StglError", "UnknownGenerator", "ZeroOutDegree",
+    "StepTooLarge", "StglError", "ZeroOutDegree",
     "TimeEvolvingGraph",
     "GyreParams", "UlamGrid", "boundary_columns", "gyre_graph",
     "integrate_rk4", "ulam_counts", "velocity",

@@ -40,10 +40,14 @@ ERROR_CODES = (
 )
 
 
-def _resolve_out(args):
-    out = os.environ.get(OUT_DIR_ENV, ".") if args.out is None else args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+def _make_dir(path):
+    """``path``, created if missing; ValueError where it cannot be a directory."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot use {path!r} as output directory: "
+                         f"{err.strerror}") from err
+    return path
 
 
 def _load_input(args):
@@ -94,9 +98,13 @@ def _save_pipeline(out, result, **results):
 
 
 def cmd_generate(args):
+    path = (os.path.join(_make_dir(args.out), f"{args.name}.json")
+            if args.file is None else args.file)
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"output path {path!r} does not name a file")
+    _make_dir(os.path.dirname(path) or os.curdir)
     generate, k_true = GENERATORS[args.name]
     graph, labels = generate(args.seed)
-    path = args.file or os.path.join(_resolve_out(args), f"{args.name}.json")
     io.save_graph(path, graph, labels)
     if args.name == "gyre":
         _write_boxes(os.path.splitext(path)[0] + "_boxes.json", gyre_mod.UlamGrid())
@@ -108,7 +116,7 @@ def cmd_generate(args):
 def cmd_cluster(args):
     _check_counts(args)
     graph, labels, source = _load_input(args)
-    out = _resolve_out(args)
+    out = _make_dir(args.out)
     timings = {}
     start = time.perf_counter()
     result = spectral_cluster(graph, args.k, seed=args.seed,
@@ -137,7 +145,7 @@ def cmd_baseline(args):
     a_grid = [float(v) for v in args.a_grid.split(",") if v.strip()]
     if not a_grid:
         raise ValueError("--a-grid must contain at least one value")
-    out = _resolve_out(args)
+    out = _make_dir(args.out)
     if graph.directed:
         print("warning: directed input symmetrized for the supra-Laplacian",
               file=sys.stderr)
@@ -178,7 +186,7 @@ def cmd_baseline(args):
 
 def cmd_spectrum(args):
     graph, _, source = _load_input(args)
-    out = _resolve_out(args)
+    out = _make_dir(args.out)
     start = time.perf_counter()
     ops = propagate_densities(graph, self_loops=not args.no_self_loops)
     system = assemble_system(ops)
@@ -204,7 +212,7 @@ def cmd_gyre(args):
     _check_counts(args)
     if args.views < 2:
         raise ValueError(f"--views must be at least 2, got {args.views}")
-    out = _resolve_out(args)
+    out = _make_dir(args.out)
     grid = gyre_mod.UlamGrid()
     params = gyre_mod.GyreParams()
     timings = {}
@@ -240,7 +248,7 @@ def cmd_walk(args):
     vertices = sorted(int(v) for v in args.vertices.split(",") if v.strip())
     if not vertices:
         raise ValueError("--vertices must list at least one vertex")
-    out = _resolve_out(args)
+    out = _make_dir(args.out)
     ops = propagate_densities(graph, self_loops=not args.no_self_loops)
     starts = [vertices[i % len(vertices)] for i in range(args.walkers)]
     paths = walks.simulate_walks(ops, starts, args.seed)
@@ -317,7 +325,8 @@ def build_parser():
 
     # every subcommand's last option, so each usage line ends with it
     for p in sub.choices.values():
-        p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
+        p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."),
+                       help=f"output directory (default ${OUT_DIR_ENV} or .)")
     return parser
 
 

@@ -58,9 +58,5 @@ class StepTooLarge(StglError):
     """An integrator step moved a particle further than allowed."""
 
 
-class UnknownGenerator(StglError):
-    """An unrecognized benchmark generator name."""
-
-
 class GraphFormatError(StglError):
     """A graph file does not conform to the expected format."""

@@ -36,8 +36,8 @@ class GyreParams:
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.omega <= 0:
-            raise ValueError("amplitude and omega must be positive")
+        if not (0 < self.amplitude < np.inf and 0 < self.omega < np.inf):
+            raise ValueError("amplitude and omega must be positive and finite")
         if not 0 <= self.epsilon < 0.5:
             raise ValueError("epsilon must be in [0, 0.5)")
 
@@ -54,8 +54,8 @@ class UlamGrid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or self.particles_per_box < 1:
             raise ValueError("grid dimensions and particle count must be positive")
-        if self.step <= 0:
-            raise ValueError("integrator step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError("integrator step must be positive and finite")
 
     @property
     def n_boxes(self):
@@ -166,6 +166,8 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    if not np.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     if noise and rng is None:
         raise ValueError("a noisy integration needs a random generator")
     steps = int(round((t1 - t0) / h))
@@ -185,10 +187,11 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
         _rk4_step(pos, t, h, field, new, work)
         pos, new = new, pos
         x, y = pos
-        if (x.min() < -MAX_EXCURSION or x.max() > 2.0 + MAX_EXCURSION
-                or y.min() < -MAX_EXCURSION or y.max() > 1.0 + MAX_EXCURSION):
+        # written so that a NaN position, for which min and max are NaN, fails
+        if not (x.min() >= -MAX_EXCURSION and x.max() <= 2.0 + MAX_EXCURSION
+                and y.min() >= -MAX_EXCURSION and y.max() <= 1.0 + MAX_EXCURSION):
             raise StepTooLarge(f"particle left the domain by more than "
-                               f"{MAX_EXCURSION} at t={t + h:.4f}")
+                               f"{MAX_EXCURSION} or is not finite at t={t + h:.4f}")
         for p, z, wall in zip(pos, work, (2.0, 1.0)):
             if noise:
                 rng.standard_normal(out=z)

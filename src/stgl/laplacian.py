@@ -1,9 +1,10 @@
 """The spatio-temporal graph Laplacian: assembly, eigenproblem, eigenvector tags.
 
-The coupled system lives on M copies of the vertex set. A is the symmetric
-block-tridiagonal matrix of cross-covariances, B the diagonal matrix of
-(doubled interior) covariances, and C = B^{-1} A the row-stochastic matrix
-whose dominant eigenvectors carry the cluster structure. L = I - C.
+The coupled system lives on M copies of the vertex set. It is stored as the
+M - 1 cross-covariances of adjacent views, the blocks of the symmetric
+block-tridiagonal matrix A, and the diagonal matrix B of (doubled interior)
+covariances. C = B^{-1} A is the row-stochastic matrix whose dominant
+eigenvectors carry the cluster structure. L = I - C.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceFailure, StglError
+from .errors import ConvergenceFailure
 from .operators import OperatorSequence
 
 # Largest system solved by a full dense symmetric decomposition; beyond this
@@ -47,15 +48,17 @@ def view_weights(M):
 
 @dataclass(frozen=True)
 class SpatioTemporalSystem:
-    """Assembled block matrices of the coupled eigenproblem.
+    """Assembled blocks of the coupled eigenproblem.
 
-    ``A`` is Mn x Mn sparse symmetric and ``B_diag`` the positive diagonal
-    of B; C is derived from them.
+    ``cross[t]`` is the n x n sparse cross-covariance D_{mu_t} S_t of views
+    t and t + 1 (M - 1 blocks) and ``B_diag`` the positive diagonal of B.
+    A, with these blocks above its block diagonal and their transposes
+    below, and C are derived from them.
     """
 
     n: int
     M: int
-    A: sparse.csr_array = field(repr=False)
+    cross: tuple = field(repr=False)
     B_diag: np.ndarray = field(repr=False)
 
     @property
@@ -63,19 +66,23 @@ class SpatioTemporalSystem:
         return self.M * self.n
 
     @property
+    def A(self):
+        """The Mn x Mn symmetric block-tridiagonal matrix of the cross blocks."""
+        blocks = [[None] * self.M for _ in range(self.M)]
+        for t, cross in enumerate(self.cross):
+            blocks[t][t + 1] = cross
+            blocks[t + 1][t] = cross.T
+        return sparse.csr_array(sparse.block_array(blocks, format="csr"))
+
+    @property
     def C(self):
         """The row-stochastic matrix B^{-1} A."""
-        inv_b = sparse.dia_array((1.0 / self.B_diag[None, :], [0]), shape=self.A.shape)
-        return sparse.csr_array(inv_b @ self.A)
+        return sparse.csr_array(sparse.diags_array(1.0 / self.B_diag) @ self.A)
 
     def symmetrized(self):
         """B^{-1/2} A B^{-1/2}: symmetric, with the same spectrum as C."""
-        d = sparse.dia_array((1.0 / np.sqrt(self.B_diag)[None, :], [0]),
-                             shape=self.A.shape)
+        d = sparse.diags_array(1.0 / np.sqrt(self.B_diag))
         H = sparse.csr_array(d @ self.A @ d)
-        asym = abs(H - H.T)
-        if asym.nnz and not asym.data.max() <= 1e-12:
-            raise StglError("symmetrized system is not symmetric")
         return sparse.csr_array((H + H.T) * 0.5)
 
     def coupling(self):
@@ -83,23 +90,16 @@ class SpatioTemporalSystem:
 
         A couples only adjacent views, so with the even views (0, 2, ...)
         ordered first the symmetrized matrix is [[0, X], [X^T, 0]]. X is
-        n ceil(M/2) x n floor(M/2), sliced from A without forming that
-        matrix. Raises StglError if A links two views of equal parity or
-        its odd to even block is not X^T to 1e-12, as ``symmetrized`` does.
+        n ceil(M/2) x n floor(M/2): cross[t], transposed for odd t, in block
+        ((t + 1) // 2, t // 2), scaled by B^{-1/2} on both sides.
         """
-        views = np.arange(self.size) // self.n
-        even, odd = np.flatnonzero(views % 2 == 0), np.flatnonzero(views % 2 == 1)
-        A_eo, A_oe = self.A[even][:, odd], self.A[odd][:, even]
-        if (A_eo.nnz + A_oe.nnz != self.A.nnz and self.A.count_nonzero()
-                != A_eo.count_nonzero() + A_oe.count_nonzero()):
-            raise StglError("A links two views of equal parity")
-        d_even, d_odd = (sparse.diags_array(1.0 / np.sqrt(self.B_diag[rows]))
-                         for rows in (even, odd))
-        X = sparse.csr_array(d_even @ A_eo @ d_odd)
-        asym = abs(X - (d_odd @ A_oe @ d_even).T)
-        if asym.nnz and not asym.data.max() <= 1e-12:
-            raise StglError("symmetrized system is not symmetric")
-        return X
+        blocks = [[None] * (self.M // 2) for _ in range((self.M + 1) // 2)]
+        for t, cross in enumerate(self.cross):
+            blocks[(t + 1) // 2][t // 2] = cross.T if t % 2 else cross
+        d = (1.0 / np.sqrt(self.B_diag)).reshape(self.M, self.n)
+        return sparse.csr_array(sparse.diags_array(d[0::2].ravel())
+                                @ sparse.block_array(blocks, format="csr")
+                                @ sparse.diags_array(d[1::2].ravel()))
 
     def temporal_basis(self):
         """Per-view constants in symmetric form: (Q, T) with H Q = Q T.
@@ -148,21 +148,13 @@ class SpectralEmbedding:
 
 
 def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
-    """Build A and the diagonal of B from the per-view operators."""
-    n, M = ops.n, ops.M
+    """Build the cross blocks D_{mu_t} S_t and the diagonal of B from the
+    per-view operators."""
     mus = ops.densities
-
-    blocks_A = [[None] * M for _ in range(M)]
-    for t in range(M - 1):
-        # C_t(t+1) = D_{mu_t} S_t
-        scale = sparse.dia_array((mus[t][None, :], [0]), shape=(n, n))
-        cross = sparse.csr_array(scale @ ops.transitions[t])
-        blocks_A[t][t + 1] = cross
-        blocks_A[t + 1][t] = cross.T
-    A = sparse.csr_array(sparse.block_array(blocks_A, format="csr"))
-
-    B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(M), mus)])
-    return SpatioTemporalSystem(n=n, M=M, A=A, B_diag=B_diag)
+    cross = tuple(sparse.csr_array(sparse.diags_array(mu) @ S)
+                  for mu, S in zip(mus[:-1], ops.transitions))
+    B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(ops.M), mus)])
+    return SpatioTemporalSystem(n=ops.n, M=ops.M, cross=cross, B_diag=B_diag)
 
 
 def _fix_signs(vecs):

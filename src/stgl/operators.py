@@ -70,8 +70,7 @@ def row_normalize(W):
     zero = np.flatnonzero(degrees <= 0)
     if zero.size:
         raise ZeroOutDegree(int(zero[0]))
-    inv = sparse.dia_array((1.0 / degrees[None, :], [0]), shape=W.shape)
-    return sparse.csr_array(inv @ W)
+    return sparse.csr_array(sparse.diags_array(1.0 / degrees) @ W)
 
 
 def propagate_densities(graph: TimeEvolvingGraph, *,

@@ -97,14 +97,13 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
         # exactly like the per-view D_t - W_t plus the lifted path Laplacian
         degrees = (np.asarray(blocks.sum(axis=1)).ravel()
                    + a * np.asarray(coupling.sum(axis=1)).ravel())
-        H = sparse.csr_array(sparse.dia_array((degrees[None, :], [0]), shape=W.shape) - W)
+        H = sparse.csr_array(sparse.diags_array(degrees) - W)
         return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
 
     del blocks  # only W is read below; the copy would raise the peak memory
     degrees = np.asarray(W.sum(axis=1)).ravel()
     eye = sparse.identity(N, format="csr")
-    inv_sqrt = sparse.dia_array(((1.0 / np.sqrt(degrees))[None, :], [0]),
-                                shape=W.shape)
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(degrees))
     H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
     H = sparse.csr_array((H + H.T) * 0.5)
     return SupraSystem(n=n, M=M, H=H, scale=1.0 / np.sqrt(degrees))

@@ -94,6 +94,44 @@ class TestGenerate:
         assert sorted(os.listdir(tmp_path)) == ["line.json"]
 
 
+class TestOutputLocation:
+    PLANTED = ["cluster", "--generator", "planted", "--k", "2"]
+
+    @pytest.mark.parametrize("argv,env", [
+        (PLANTED + ["--out", ""], None),
+        (PLANTED, ""),
+        (PLANTED + ["--out", "afile"], None),
+        (PLANTED + ["--out", "afile/sub"], None),
+        (["generate", "linegraph", "--file", ""], None),
+        (["generate", "linegraph", "--file", "afile/x.json"], None),
+        (["generate", "linegraph", "--file", "sub/"], None),
+        (["generate", "linegraph", "--file", "."], None),
+        (["generate", "linegraph", "--out", "afile"], None),
+    ], ids=["cluster-out-empty", "cluster-env-empty", "cluster-out-file",
+            "cluster-out-under-file", "generate-file-empty",
+            "generate-file-under-file", "generate-file-slash",
+            "generate-file-dir", "generate-out-file"])
+    def test_unusable_location_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys, argv, env):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("STGL_OUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("STGL_OUT_DIR", env)
+        (tmp_path / "afile").write_text("kept")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_missing_input_stays_format_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["cluster", "--input", "missing.json", "--k", "2",
+                    "--out", ""]) == 3
+        assert os.listdir(tmp_path) == []
+
+
 class TestCluster:
     def test_end_to_end_on_planted(self, planted_file, tmp_path):
         out = tmp_path / "out"

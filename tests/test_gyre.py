@@ -82,6 +82,15 @@ class TestVelocity:
         with pytest.raises(ValueError):
             GyreParams(epsilon=0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: GyreParams(amplitude=v), lambda v: GyreParams(omega=v),
+        lambda v: GyreParams(epsilon=v), lambda v: UlamGrid(step=v),
+    ], ids=["amplitude", "omega", "epsilon", "step"])
+    def test_non_finite_parameters_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
 
 class TestIntegrateRK4:
     def test_zero_field_fixes_state(self):
@@ -117,6 +126,27 @@ class TestIntegrateRK4:
         with pytest.raises(StepTooLarge):
             integrate_rk4(np.array([[1.0, 0.5]]), 0.0, 1.0, 0.1, GyreParams(),
                           field=runaway)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_detected(self, value):
+        def broken(x, y, t):
+            vx = np.zeros_like(x)
+            vx[1] = value
+            return vx, np.zeros_like(y)
+
+        state = np.array([[1.0, 0.5], [0.7, 0.4]])
+        with pytest.raises(StepTooLarge):
+            integrate_rk4(state, 0.0, 1.0, 0.25, GyreParams(), field=broken)
+        with pytest.raises(StepTooLarge):
+            integrate_rk4(np.array([[value, 0.5]]), 0.0, 1.0, 0.25,
+                          GyreParams(), field=zero_field)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            integrate_rk4(np.array([[1.0, 0.5]]), 0.0, 1.0, 0.25, GyreParams(),
+                          field=zero_field, noise=noise,
+                          rng=np.random.default_rng(0))
 
     def test_noise_draws_x_then_y_each_step(self):
         state = np.array([[1.0, 0.5], [0.7, 0.4]])

@@ -5,8 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from stgl import (ConvergenceFailure, SpatioTemporalSystem, StglError,
-                  TimeEvolvingGraph, adjusted_rand_index,
+from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
                   assemble_system, eigendecompose, gen_benchmark1,
                   gen_benchmark2, kmeans, laplacian, propagate_densities,
                   select_spatial, spectral_cluster, static_blocks)
@@ -14,9 +13,9 @@ from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
 from util import (arpack_two_converged, build_system, clique_coupling_graph,
-                  random_teg,
-                  rank_one_coupling_graph, reference_eigendecompose,
-                  reference_symmetrized, transfer_operator_C)
+                  random_teg, rank_one_coupling_graph, reference_coupling,
+                  reference_eigendecompose, reference_symmetrized,
+                  transfer_operator_C)
 
 
 @pytest.fixture()
@@ -403,21 +402,19 @@ class TestCouplingRoute:
             solved += 1
         assert solved >= 8
 
-    def test_coupling_rejects_asymmetric_or_same_parity_systems(self):
-        system = build_system(random_teg(1, n_max=10))
-        n, M = system.n, system.M
-        A = system.A.tolil()
-        A[0, n] *= 1.5  # view 0 to view 1 only: no longer symmetric
-        bad = SpatioTemporalSystem(n=n, M=M, A=sparse.csr_array(A),
-                                   B_diag=system.B_diag)
-        with pytest.raises(StglError, match="not symmetric"):
-            bad.coupling()
-        A = system.A.tolil()
-        A[0, 1] = A[1, 0] = 0.5  # within view 0
-        bad = SpatioTemporalSystem(n=n, M=M, A=sparse.csr_array(A),
-                                   B_diag=system.B_diag)
-        with pytest.raises(StglError, match="equal parity"):
-            bad.coupling()
+    @pytest.mark.parametrize("graph", [
+        lambda: gen_benchmark1(0)[0], lambda: gen_benchmark2(0)[0],
+        lambda: static_blocks(n=300, blocks=3, M=3, seed=0)[0],
+        lambda: static_blocks(n=200, blocks=4, M=5, seed=0)[0],
+    ] + [lambda seed=seed: random_teg(seed) for seed in range(12)],
+        ids=["benchmark1", "benchmark2", "static-M3", "static-M5"]
+        + [f"random-{seed}" for seed in range(12)])
+    def test_coupling_is_the_scaled_slice_of_A(self, graph):
+        system = build_system(graph())
+        X, ref = system.coupling(), reference_coupling(system)
+        assert X.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(X, part), getattr(ref, part))
 
     def test_rank_deficient_coupling_matches_reference_and_dense(
             self, monkeypatch, lanczos_calls):

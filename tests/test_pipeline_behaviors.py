@@ -102,7 +102,7 @@ def test_public_surface_is_pinned():
         "GraphFormatError", "GyreParams", "InsufficientSpatialEigenvectors",
         "OperatorSequence", "PipelineResult", "SpatioTemporalSystem",
         "SpectralEmbedding", "StepTooLarge", "StglError", "SupraSystem",
-        "TimeEvolvingGraph", "UlamGrid", "UnknownGenerator", "ZeroOutDegree",
+        "TimeEvolvingGraph", "UlamGrid", "ZeroOutDegree",
         "adjusted_rand_index", "assemble_system", "boundary_columns",
         "build_supra", "eigendecompose", "escape_rate", "gen_benchmark1",
         "gen_benchmark2", "gen_line_graph", "gen_planted_partition",
@@ -139,3 +139,24 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read | exported]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # each exception class of errors.py is named by a raise in the package,
+    # or is a base of a class that is
+    package = Path(stgl.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text())
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    used, frontier = set(), raised
+    while frontier:
+        used |= frontier
+        frontier = {base for name in frontier for base in bases.get(name, ())} - used
+    assert sorted(bases.keys() - used) == []

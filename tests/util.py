@@ -107,6 +107,16 @@ def reference_symmetrized(graph):
     return d[:, None] * A * d[None, :], b
 
 
+def reference_coupling(system):
+    """X sliced from A: its even-view rows and odd-view columns, scaled by
+    B^{-1/2} on both sides."""
+    views = np.arange(system.size) // system.n
+    even, odd = np.flatnonzero(views % 2 == 0), np.flatnonzero(views % 2 == 1)
+    d_even, d_odd = (sparse.diags_array(1.0 / np.sqrt(system.B_diag[rows]))
+                     for rows in (even, odd))
+    return sparse.csr_array(d_even @ system.A[even][:, odd] @ d_odd)
+
+
 def transfer_operator_C(ops):
     """C assembled from the Koopman and reweighted Perron-Frobenius blocks.
 
