@@ -232,7 +232,7 @@ def cmd_gyre(args):
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
     results = _save_pipeline(out, result, boundary_x=boundary,
                              boundary_amplitude=amplitude)
-    io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"], "%d,%r",
+    io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"],
                  [range(1, len(boundary) + 1), boundary])
     config = {"command": "gyre", "k": args.k, "views": args.views,
               "gen_seed": args.gen_seed, "seed": args.seed,

@@ -70,7 +70,10 @@ def _kmeans_pp_init(points, k, rng):
 
 
 def _assign(points, centroids):
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    # one centroid at a time, so no N x k x dim temporary is formed
+    d2 = np.empty((len(points), len(centroids)))
+    for c, centroid in enumerate(centroids):
+        np.sum((points - centroid) ** 2, axis=1, out=d2[:, c])
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(len(points)), labels].sum())
     return labels, inertia

@@ -14,7 +14,9 @@ would give, renamed over the destination on success and unlinked on any
 exception. ``save_graph`` and every CSV file, through the one CSV writer
 ``write_csv``, format and write their records ``WRITE_ROW_CHUNK`` at a
 time, so the file is never held as one string; the JSON reports are
-written in one call.
+written in one call by ``json.dumps``. Every streamed field comes from one
+tokenizer, ``_tokens``, which formats a chunk with orjson's numpy serializer
+and gives each float the text of its ``repr``, as ``json`` and ``csv`` do.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import operator
 import os
 
 import numpy as np
+import orjson
 from scipy import sparse
 
 from .errors import GraphFormatError
@@ -47,7 +50,10 @@ WRITE_ROW_CHUNK = 1024
 @contextlib.contextmanager
 def atomic_file(path):
     """Text handle (``newline=""``) on a temp file beside ``path``, renamed
-    to ``path`` when the block exits cleanly and removed when it raises."""
+    to ``path`` when the block exits cleanly and removed when it raises; a
+    ``path`` that is a directory is a ValueError before anything is written."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {os.fspath(path)!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     while True:  # mode 0o666 under the umask, where mkstemp would give 0o600
@@ -76,30 +82,46 @@ def write_json(path, payload):
                                        default=lambda value: value.tolist()) + "\n")
 
 
-def _row_chunks(template, columns, separator=""):
-    """``separator.join(template % row for row in zip(*columns))``, yielded
-    ``WRITE_ROW_CHUNK`` rows at a time; every chunk after the first starts
-    with ``separator``."""
+def _tokens(chunk):
+    """The text of each value of a 1-d array, as ``map(str, chunk.tolist())``
+    gives it. orjson formats each number as that text, except a float outside
+    1e-4 <= |v| < 1e16 (zeros, subnormals, inf, nan), which ``repr`` formats."""
+    kind = chunk.dtype.kind
+    if kind not in "iuf" or not len(chunk):
+        return chunk.tolist()
+    values = np.ascontiguousarray(chunk, dtype=float if kind == "f" else None)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    tokens = text[1:-1].decode().split(",")
+    if kind == "f":
+        size = np.abs(values)
+        for k in np.flatnonzero(~(size < 1e16) | (size < 1e-4)).tolist():
+            tokens[k] = repr(float(values[k]))
+    return tokens
+
+
+def _row_chunks(columns, field_sep, row_sep):
+    """``row_sep.join(map(field_sep.join, zip(*map(_tokens, columns))))``,
+    yielded ``WRITE_ROW_CHUNK`` rows at a time; every chunk after the first
+    starts with ``row_sep``."""
     for start in range(0, len(columns[0]), WRITE_ROW_CHUNK):
-        rows = zip(*(c[start:start + WRITE_ROW_CHUNK].tolist() for c in columns))
-        yield (separator if start else "") + separator.join(map(template.__mod__, rows))
+        rows = zip(*(_tokens(c[start:start + WRITE_ROW_CHUNK]) for c in columns))
+        yield (row_sep if start else "") + row_sep.join(map(field_sep.join, rows))
 
 
-def _write_json_rows(handle, specs, columns):
+def _write_json_rows(handle, columns):
     """Write the ``json.dumps(indent=2)`` text, at depth 1, of the rows
     ``zip(*columns)``."""
     if not len(columns[0]):
         handle.write("[]")
         return
-    template = "    [\n      " + ",\n      ".join(specs) + "\n    ]"
-    handle.write("[\n")
-    handle.writelines(_row_chunks(template, columns, ",\n"))
-    handle.write("\n  ]")
+    handle.write("[\n    [\n      ")
+    handle.writelines(_row_chunks(columns, ",\n      ", "\n    ],\n    [\n      "))
+    handle.write("\n    ]\n  ]")
 
 
 def save_graph(path, graph: TimeEvolvingGraph, labels=None):
     """Write a graph (and optional ground-truth labels) as JSON: the text of
-    ``json.dumps(payload, indent=2, sort_keys=True)``, with its ``%r`` floats."""
+    ``json.dumps(payload, indent=2, sort_keys=True)``."""
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if labels.shape != (graph.M, graph.n):
@@ -107,10 +129,10 @@ def save_graph(path, graph: TimeEvolvingGraph, labels=None):
     with atomic_file(path) as handle:
         handle.write(f'{{\n  "M": {graph.M},\n  "directed": '
                      f'{json.dumps(bool(graph.directed))},\n  "edges": ')
-        _write_json_rows(handle, ["%d", "%d", "%d", "%r"], graph.edge_arrays())
+        _write_json_rows(handle, graph.edge_arrays())
         if labels is not None:
             handle.write(',\n  "labels": ')
-            _write_json_rows(handle, ["%d"] * graph.n, labels.T)
+            _write_json_rows(handle, labels.T)
         handle.write(f',\n  "n": {graph.n}\n}}\n')
 
 
@@ -213,20 +235,22 @@ def load_graph(path):
     return graph, labels
 
 
-def write_csv(path, header, template, columns):
-    """The CSV lines of ``header`` and of ``template % row`` for each row of
-    ``zip(*columns)``, ended by CRLF as the csv module ends them; no field
-    written here needs quoting, and ``%r`` of a float is its repr."""
+def write_csv(path, header, columns):
+    """The CSV lines of ``header`` and of each row of ``zip(*columns)``, ended
+    by CRLF and with the fields of ``_tokens``, as ``csv.writer`` writes them
+    from ``tolist()``; no field written here needs quoting."""
+    columns = [np.asarray(c) for c in columns]
     with atomic_file(path) as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(_row_chunks(template + "\r\n",
-                                      [np.asarray(c) for c in columns]))
+        handle.writelines(_row_chunks(columns, ",", "\r\n"))
+        if len(columns[0]):
+            handle.write("\r\n")
 
 
 def save_spectrum_csv(path, eigenvalues, tags):
     """Columns: index (1-based), eigenvalue_C, eigenvalue_L, tag."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    write_csv(path, ["index", "eigenvalue_C", "eigenvalue_L", "tag"], "%d,%r,%r,%s",
+    write_csv(path, ["index", "eigenvalue_C", "eigenvalue_L", "tag"],
               [np.arange(1, len(eigenvalues) + 1), eigenvalues, 1.0 - eigenvalues, tags])
 
 
@@ -234,15 +258,15 @@ def save_eigenvectors_csv(path, embedding):
     """Columns: eig_index (1-based), view (1-based), vertex, value."""
     folded = embedding.folded
     index = np.indices(folded.shape).reshape(3, -1) + [[1], [1], [0]]
-    write_csv(path, ["eig_index", "view", "vertex", "value"], "%d,%d,%d,%r",
+    write_csv(path, ["eig_index", "view", "vertex", "value"],
               [*index, folded.astype(float).ravel()])
 
 
 def save_labels_csv(path, labels):
     """Columns: view (1-based), vertex, label."""
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=int)
     index = np.indices(labels.shape).reshape(2, -1) + [[1], [0]]
-    write_csv(path, ["view", "vertex", "label"], "%d,%d,%d", [*index, labels.ravel()])
+    write_csv(path, ["view", "vertex", "label"], [*index, labels.ravel()])
 
 
 def write_report(path, config, results, timings):

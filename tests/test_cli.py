@@ -125,6 +125,18 @@ class TestOutputLocation:
         assert os.listdir(tmp_path) == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept"
 
+    @pytest.mark.parametrize("name", ["labels.csv", "spectrum.csv",
+                                      "eigenvectors.csv", "report.json"])
+    def test_output_name_that_is_a_directory(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        assert run(["cluster", "--generator", "linegraph", "--k", "3",
+                    "--export-vectors", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err and "is a directory" in err
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+        assert os.listdir(tmp_path / name) == []
+
     def test_missing_input_stays_format_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["cluster", "--input", "missing.json", "--k", "2",

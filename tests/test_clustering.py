@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stgl import (DegenerateInput, InsufficientSpatialEigenvectors,
                   adjusted_rand_index, clustering, kmeans, score_against,
                   select_spatial, spectral_cluster, static_blocks)
-from stgl.clustering import _lloyd
+from stgl.clustering import _assign, _lloyd
 from stgl.laplacian import SpectralEmbedding
 
-from util import ari_pair_oracle
+from util import ari_pair_oracle, reference_assign
 
 
 def make_embedding(vectors, tags, n, M):
@@ -98,6 +100,31 @@ class TestKmeans:
             _lloyd(pts, 4, np.random.default_rng((7, r)))
             assert len(inertias) >= 2
             assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_assign_is_bitwise_the_broadcast_oracle(self, layout):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            N, k = int(rng.integers(1, 2000)), int(rng.integers(1, 40))
+            pts = rng.standard_normal((N, k)) * 10.0 ** rng.uniform(-3, 3)
+            pts = {"C": pts, "F": np.asfortranarray(pts),
+                   "transposed": np.ascontiguousarray(pts.T).T}[layout]
+            centroids = rng.standard_normal((k, k)) * pts.std()
+            labels, inertia = _assign(pts, centroids)
+            ref_labels, ref_inertia = reference_assign(pts, centroids)
+            assert np.array_equal(labels, ref_labels)
+            assert inertia == ref_inertia
+
+    def test_assign_memory_is_of_order_n_times_k(self):
+        # the broadcast form allocates N k² floats: 240 MB here
+        pts = np.random.default_rng(12).standard_normal((3000, 100))
+        tracemalloc.start()
+        try:
+            _assign(pts, pts[:100].copy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * pts.nbytes  # 9.6 MB: d2 and one difference
 
     def test_views_folding(self):
         pts = np.vstack([np.zeros((4, 1)), np.ones((4, 1))])

@@ -421,6 +421,61 @@ def _record_counts(chunk):
     return sorted({0, 1, chunk - 1, chunk, chunk + 1})
 
 
+def _float_oracle(values):
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+class TestTokens:
+    """``_tokens`` gives the text ``map(str, a.tolist())`` would give: the
+    repr of each float64 and the digits of each int64."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(width=64), max_size=40))
+    def test_floats(self, values):
+        assert stgl_io._tokens(np.array(values, dtype=float)) == _float_oracle(values)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+    def test_ints(self, values):
+        array = np.array(values, dtype=np.int64)
+        assert stgl_io._tokens(array) == list(map(str, values))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(0).integers(0, 2**64, size=200_000,
+                                                 dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert stgl_io._tokens(values) == _float_oracle(values)
+
+    def test_pinned_values(self):
+        tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        edges = [v for edge in (1e-4, 1e16) for sign in (1, -1)
+                 for v in (np.nextafter(sign * edge, 0), sign * edge,
+                           np.nextafter(sign * edge, sign * np.inf))]
+        values = [0.0, -0.0, tiny, -tiny, huge, -huge, np.inf, -np.inf,
+                  np.nan, *edges, 1.0, 0.1, 12345678.9]
+        tokens = stgl_io._tokens(np.array(values))
+        assert tokens == _float_oracle(values)
+        assert tokens[:9] == ["0.0", "-0.0", "5e-324", "-5e-324",
+                              "1.7976931348623157e+308", "-1.7976931348623157e+308",
+                              "inf", "-inf", "nan"]
+        extremes = [2**63 - 1, -(2**63 - 1), -2**63, 0, -1]
+        assert stgl_io._tokens(np.array(extremes)) == list(map(str, extremes))
+
+    def test_empty_strided_float32_and_string_chunks(self):
+        assert stgl_io._tokens(np.array([], dtype=float)) == []
+        assert stgl_io._tokens(np.array([], dtype=np.int64)) == []
+        labels = np.arange(12).reshape(3, 4) * -7
+        for column in labels.T:  # stride 4 elements
+            assert stgl_io._tokens(column) == list(map(str, column.tolist()))
+        values = np.linspace(-3.0, 3.0, 30).reshape(5, 6)[:, ::2].T
+        for column in values:
+            assert stgl_io._tokens(column) == _float_oracle(column)
+        single = np.array([0.1, 1e-5, 3.0], dtype=np.float32)
+        assert stgl_io._tokens(single) == _float_oracle(single)
+        tags = ("constant", "spatial", "temporal")
+        assert stgl_io._tokens(np.asarray(tags)) == list(tags)
+
+
 class TestStreamedWriters:
     """The chunked writers' bytes do not depend on where the chunks split."""
 
@@ -523,14 +578,14 @@ class TestWriters:
         columns = [np.arange(1, 5), np.array([0, 1, -1, 7]),
                    np.array([0.5, -0.0, 1e-300, 12345678.9]),
                    ["spatial", "temporal", "constant", "spatial"]]
-        write_csv(tmp_path / "t.csv", header, "%d,%d,%r,%s", columns)
+        write_csv(tmp_path / "t.csv", header, columns)
         rows = [[t, v, repr(x), tag] for t, v, x, tag in
                 zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist(),
                     columns[3])]
         data = (tmp_path / "t.csv").read_bytes()
         assert data == _csv_writer_bytes(header, rows)
         assert b",-0.0,temporal\r\n" in data and b",1e-300," in data
-        write_csv(tmp_path / "empty.csv", header, "%d,%d,%r,%s", [[], [], [], []])
+        write_csv(tmp_path / "empty.csv", header, [[], [], [], []])
         assert (tmp_path / "empty.csv").read_bytes() == _csv_writer_bytes(header, [])
         assert sorted(os.listdir(tmp_path)) == ["empty.csv", "t.csv"]
 
@@ -584,6 +639,10 @@ class TestWriters:
                 for t in range(labels.shape[0]) for v in range(labels.shape[1])]
         assert (tmp_path / "labels.csv").read_bytes() == _csv_writer_bytes(
             ["view", "vertex", "label"], rows)
+        # labels held as floats are still written as integers
+        save_labels_csv(tmp_path / "float.csv", labels.astype(float))
+        assert ((tmp_path / "float.csv").read_bytes()
+                == (tmp_path / "labels.csv").read_bytes())
 
     def test_eigenvectors_csv_bytes(self, tmp_path):
         n, M, k = 3, 4, 5

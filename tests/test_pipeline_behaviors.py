@@ -1,6 +1,9 @@
 """Qualitative behaviors of the full pipeline on the benchmark generators."""
 
 import ast
+import importlib.metadata
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,36 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read | exported]
     assert unused == []
+
+
+def test_third_party_imports_are_declared():
+    # each top-level module the package imports is stgl, ships with Python,
+    # or comes from a distribution that pyproject.toml's dependencies name
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(stgl.__file__).parent
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+
+    def normalized(name):
+        return re.sub(r"[-_.]+", "-", name).lower()
+
+    declared = {normalized(re.match(r"[\w.-]+", requirement).group())
+                for requirement in project["project"]["dependencies"]}
+    providers = importlib.metadata.packages_distributions()
+    undeclared = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for top in {module.split(".")[0] for module in modules}:
+                if top == "stgl" or top in sys.stdlib_module_names:
+                    continue
+                if not declared & set(map(normalized, providers.get(top, [top]))):
+                    undeclared.append(f"{path.name}:{node.lineno} {top}")
+    assert undeclared == []
 
 
 def test_every_error_class_is_raised():

@@ -64,6 +64,14 @@ def build_system(graph, **kwargs):
     return assemble_system(propagate_densities(graph, **kwargs))
 
 
+def reference_assign(points, centroids):
+    """k-means assignment through the N x k x d broadcast difference: labels
+    and inertia."""
+    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, float(d2[np.arange(len(points)), labels].sum())
+
+
 def ari_pair_oracle(a, b):
     """Exhaustive pair enumeration over all C(n, 2) item pairs."""
     n = len(a)
