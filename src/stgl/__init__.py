@@ -7,11 +7,11 @@ supra-Laplacian baseline, benchmark generators, and a double-gyre
 application discretized with Ulam's method.
 """
 
-from .benchmarks import (BenchmarkSpec, gen_benchmark1, gen_benchmark2,
-                         gen_line_graph, gen_planted_partition, static_blocks)
-from .clustering import (ClusteringResult, Embedding, PipelineResult,
-                         adjusted_rand_index, kmeans, score_against,
-                         select_spatial, spectral_cluster)
+from .benchmarks import (gen_benchmark1, gen_benchmark2, gen_line_graph,
+                         gen_planted_partition, static_blocks)
+from .clustering import (ClusteringResult, PipelineResult, adjusted_rand_index,
+                         kmeans, score_against, select_spatial,
+                         spectral_cluster)
 from .errors import (ConvergenceFailure, DegenerateInput, DensityVanished,
                      DirectedInput, GraphFormatError,
                      InsufficientSpatialEigenvectors, StepTooLarge, StglError,
@@ -27,9 +27,9 @@ from .supra import SupraSystem, build_supra, supra_cluster, symmetrize
 from .walks import escape_rate, occupancy, simulate_walks
 
 __all__ = [
-    "BenchmarkSpec", "gen_benchmark1", "gen_benchmark2", "gen_line_graph",
+    "gen_benchmark1", "gen_benchmark2", "gen_line_graph",
     "gen_planted_partition", "static_blocks",
-    "ClusteringResult", "Embedding", "PipelineResult", "adjusted_rand_index",
+    "ClusteringResult", "PipelineResult", "adjusted_rand_index",
     "kmeans", "score_against", "select_spatial", "spectral_cluster",
     "ConvergenceFailure", "DegenerateInput", "DensityVanished",
     "DirectedInput", "GraphFormatError", "InsufficientSpatialEigenvectors",

@@ -8,8 +8,6 @@ p_in inside blocks and p_out across, with weights drawn uniformly from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import sparse
 
@@ -18,50 +16,32 @@ from .graph import TimeEvolvingGraph
 DEFAULT_WEIGHTS = (0.5, 1.5)
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """Parameters of a planted-partition benchmark."""
-
-    n: int
-    M: int
-    block_membership: np.ndarray = field(repr=False)
-    p_in: float
-    p_out: float
-    weight_range: tuple = DEFAULT_WEIGHTS
-    seed: int = 0
-
-    def __post_init__(self):
-        membership = np.asarray(self.block_membership, dtype=int)
-        if membership.shape != (self.M, self.n):
-            raise ValueError(f"membership must be {(self.M, self.n)}, "
-                             f"got {membership.shape}")
-        # equality is allowed so the degenerate no-community case stays
-        # expressible for sanity checks
-        if not 0 <= self.p_out <= self.p_in <= 1:
-            raise ValueError("need 0 <= p_out <= p_in <= 1")
-        object.__setattr__(self, "block_membership", membership)
-
-
-def gen_planted_partition(spec: BenchmarkSpec) -> TimeEvolvingGraph:
-    """Undirected planted-partition snapshots, one per view.
+def gen_planted_partition(membership, p_in, p_out, *,
+                          weight_range=DEFAULT_WEIGHTS, seed=0) -> TimeEvolvingGraph:
+    """Undirected planted-partition snapshots, one per row of the (M, n)
+    membership array.
 
     Each view is sampled independently given its membership row; only the
-    membership couples the views.
+    membership couples the views. ``p_out == p_in`` is allowed, so the
+    degenerate no-community case stays expressible for sanity checks.
     """
-    rng = np.random.default_rng(spec.seed)
-    iu, ju = np.triu_indices(spec.n, k=1)
+    membership = np.asarray(membership, dtype=int)
+    M, n = membership.shape
+    if not 0 <= p_out <= p_in <= 1:
+        raise ValueError("need 0 <= p_out <= p_in <= 1")
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
     snapshots = []
-    for t in range(spec.M):
-        m = spec.block_membership[t]
-        prob = np.where(m[iu] == m[ju], spec.p_in, spec.p_out)
+    for m in membership:
+        prob = np.where(m[iu] == m[ju], p_in, p_out)
         present = rng.random(len(iu)) < prob
-        w = rng.uniform(*spec.weight_range, int(present.sum()))
+        w = rng.uniform(*weight_range, int(present.sum()))
         i, j = iu[present], ju[present]
         W = sparse.coo_array((np.concatenate([w, w]),
                               (np.concatenate([i, j]), np.concatenate([j, i]))),
-                             shape=(spec.n, spec.n))
+                             shape=(n, n))
         snapshots.append(sparse.csr_array(W))
-    return TimeEvolvingGraph(n=spec.n, M=spec.M, snapshots=tuple(snapshots),
+    return TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots),
                              directed=False)
 
 
@@ -100,10 +80,9 @@ def gen_benchmark1(seed=0):
     Returns (graph, ground-truth labels).
     """
     membership = benchmark1_membership()
-    spec = BenchmarkSpec(n=300, M=10, block_membership=membership,
-                         p_in=0.5, p_out=0.004, weight_range=BENCHMARK1_WEIGHTS,
-                         seed=seed)
-    return gen_planted_partition(spec), membership.copy()
+    graph = gen_planted_partition(membership, 0.5, 0.004,
+                                  weight_range=BENCHMARK1_WEIGHTS, seed=seed)
+    return graph, membership
 
 
 def gen_benchmark2(seed=0):
@@ -177,6 +156,4 @@ def gen_line_graph() -> TimeEvolvingGraph:
 def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0):
     """A time-constant planted partition, mostly for tests and examples."""
     membership = np.tile(np.repeat(np.arange(blocks), n // blocks), (M, 1))
-    spec = BenchmarkSpec(n=n, M=M, block_membership=membership,
-                         p_in=p_in, p_out=p_out, seed=seed)
-    return gen_planted_partition(spec), membership.copy()
+    return gen_planted_partition(membership, p_in, p_out, seed=seed), membership

@@ -94,7 +94,7 @@ def _save_pipeline(out, result, **results):
     io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
     io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues, emb.tags)
     return {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags),
-            "selection": [i + 1 for i in result.selected.selection], **results}
+            "selection": [i + 1 for i in result.selection], **results}
 
 
 def cmd_generate(args):
@@ -219,9 +219,6 @@ def cmd_gyre(args):
     start = time.perf_counter()
     graph = gyre_mod.gyre_graph(grid, params, M=args.views, seed=args.gen_seed)
     timings["integration_s"] = time.perf_counter() - start
-
-    io.save_graph(os.path.join(out, "gyre.json"), graph)
-    _write_boxes(os.path.join(out, "gyre_boxes.json"), grid)
     start = time.perf_counter()
     # count rows are strictly positive, so no self-loop regularization: the
     # operators stay exactly the Ulam estimates
@@ -230,6 +227,9 @@ def cmd_gyre(args):
     timings["pipeline_s"] = time.perf_counter() - start
     boundary = gyre_mod.boundary_columns(result.clustering.labels, grid)
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
+    # written only once clustering has succeeded, so a failure leaves no files
+    io.save_graph(os.path.join(out, "gyre.json"), graph)
+    _write_boxes(os.path.join(out, "gyre_boxes.json"), grid)
     results = _save_pipeline(out, result, boundary_x=boundary,
                              boundary_amplitude=amplitude)
     io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"],

@@ -9,26 +9,17 @@ label identity is meaningful across views without any matching step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientSpatialEigenvectors, StglError
 from .graph import TimeEvolvingGraph
-from .laplacian import (SpatioTemporalSystem, SpectralEmbedding,
-                        assemble_system, eigendecompose)
+from .laplacian import SpectralEmbedding, assemble_system, eigendecompose
 from .operators import propagate_densities
 
 # Lloyd updates per k-means run before it stops unconverged.
 LLOYD_MAX_ITER = 300
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Selected eigenvector columns; row i is (view i // n, vertex i % n)."""
-
-    points: np.ndarray = field(repr=False)
-    selection: tuple
 
 
 @dataclass(frozen=True)
@@ -39,18 +30,17 @@ class ClusteringResult:
     inertia: float
 
 
-def select_spatial(embedding: SpectralEmbedding, k) -> Embedding:
-    """The first k non-temporal eigenvectors, in the embedding's order.
+def select_spatial(embedding: SpectralEmbedding, k) -> tuple:
+    """Column indices of the first k non-temporal eigenvectors, in the
+    embedding's order.
 
     The constant first eigenvector is retained by convention; temporal
     eigenvectors (constant within each view) are filtered out.
     """
-    keep = [i for i, tag in enumerate(embedding.tags) if tag != "temporal"]
+    keep = tuple(i for i, tag in enumerate(embedding.tags) if tag != "temporal")
     if len(keep) < k:
         raise InsufficientSpatialEigenvectors(len(keep), k)
-    keep = keep[:k]
-    return Embedding(points=embedding.vectors[:, keep],
-                     selection=tuple(keep))
+    return keep[:k]
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -119,15 +109,15 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
         raise ValueError(f"need at least one k-means restart, got {restarts}")
     if k < 1 or len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
+    n = len(points) // views
+    if n * views != len(points):
+        raise ValueError("point count is not a multiple of the view count")
     best = None
     for r in range(restarts):
         labels, inertia = _lloyd(points, k, np.random.default_rng((seed, r)))
         if best is None or inertia < best[1]:
             best = (labels, inertia)
     labels, inertia = best
-    n = len(points) // views
-    if n * views != len(points):
-        raise ValueError("point count is not a multiple of the view count")
     return ClusteringResult(labels=labels.reshape(views, n), inertia=inertia)
 
 
@@ -164,11 +154,11 @@ def adjusted_rand_index(a, b) -> float:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything produced by one spectral-clustering run."""
+    """Everything produced by one spectral-clustering run; ``selection``
+    holds the embedding's columns that k-means clustered."""
 
-    system: SpatioTemporalSystem
     embedding: SpectralEmbedding
-    selected: Embedding
+    selection: tuple
     clustering: ClusteringResult
     ari_per_view: tuple | None = None
 
@@ -199,9 +189,9 @@ def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
     if k > N - M + 1:
         raise InsufficientSpatialEigenvectors(N - M + 1, k)
     embedding = eigendecompose(system, min(N, k + M + 3))
-    selected = select_spatial(embedding, k)
-    result = kmeans(selected.points, k, seed=seed, restarts=restarts,
-                    views=graph.M)
+    selection = select_spatial(embedding, k)
+    result = kmeans(embedding.vectors[:, list(selection)], k, seed=seed,
+                    restarts=restarts, views=graph.M)
     ari = score_against(result.labels, truth) if truth is not None else None
-    return PipelineResult(system=system, embedding=embedding, selected=selected,
+    return PipelineResult(embedding=embedding, selection=selection,
                           clustering=result, ari_per_view=ari)

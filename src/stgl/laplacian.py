@@ -34,10 +34,6 @@ LANCZOS_SEED = 0
 # negatively correlated functions and are filtered.
 NEGATIVE_EIG_CUTOFF = -1e-12
 
-# Rows of the dense system updated at once when the per-view constants are
-# deflated in place, so the temporary never approaches a second N x N array.
-LOW_RANK_ROW_CHUNK = 256
-
 
 def view_weights(M):
     """Weight of each view in B: 1 at the two end views, 2 in between."""
@@ -306,10 +302,13 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
         spatial_vals, spatial_vecs = _coupling_eigenpairs(system, j, Q, T)
     else:
         H = system.symmetrized().toarray()
-        QS = Q @ (T + 2.0 * np.eye(M))
-        for lo in range(0, N, LOW_RANK_ROW_CHUNK):
-            rows = slice(lo, lo + LOW_RANK_ROW_CHUNK)
-            H[rows] -= QS[rows] @ Q.T
+        # Q has one nonzero per row, so Q S Q^T is one outer product per
+        # nonzero S[u, v], subtracted from the view block (u, v) in place
+        S = T + 2.0 * np.eye(M)
+        q = Q.sum(axis=1).reshape(M, system.n)
+        blocks = H.reshape(M, system.n, M, system.n)
+        for u, v in zip(*np.nonzero(S)):
+            blocks[u, :, v] -= np.outer(q[u] * S[u, v], q[v])
         spatial_vals, spatial_vecs = symmetric_eigenpairs(H, j)
     vals, vecs, order = _order_eigenpairs(
         np.concatenate([np.cos(theta), spatial_vals]),

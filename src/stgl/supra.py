@@ -163,5 +163,6 @@ def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
         tags = ("spatial",) * len(vals)
     embedding = SpectralEmbedding(n=n, M=M, eigenvalues=vals, vectors=vecs,
                                   tags=tags)
-    points = select_spatial(embedding, k).points
-    return kmeans(points, k, seed=seed, restarts=restarts, views=M)
+    selection = select_spatial(embedding, k)
+    return kmeans(vecs[:, list(selection)], k, seed=seed, restarts=restarts,
+                  views=M)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stgl import (BenchmarkSpec, gen_benchmark1, gen_benchmark2,
-                  gen_line_graph, gen_planted_partition, propagate_densities,
-                  spectral_cluster, static_blocks)
+from stgl import (gen_benchmark1, gen_benchmark2, gen_line_graph,
+                  gen_planted_partition, propagate_densities, spectral_cluster,
+                  static_blocks)
 from stgl.benchmarks import benchmark1_membership
 
 
@@ -97,9 +97,8 @@ class TestLineGraph:
 class TestPlantedPartition:
     def test_zero_noise_is_block_diagonal(self):
         membership = np.tile(np.repeat([0, 1], 10), (3, 1))
-        spec = BenchmarkSpec(n=20, M=3, block_membership=membership,
-                             p_in=0.8, p_out=0.0, seed=0)
-        g = gen_planted_partition(spec)
+        g = gen_planted_partition(membership, 0.8, 0.0, seed=0)
+        assert (g.n, g.M) == (20, 3)
         for t in range(1, 4):
             W = g.dense(t)
             assert np.all(W[:10, 10:] == 0.0)
@@ -107,31 +106,22 @@ class TestPlantedPartition:
 
     def test_equal_probabilities_no_signal(self):
         membership = np.tile(np.repeat([0, 1], 40), (2, 1))
-        spec = BenchmarkSpec(n=80, M=2, block_membership=membership,
-                             p_in=0.4, p_out=0.4, seed=1)
-        g = gen_planted_partition(spec)
+        g = gen_planted_partition(membership, 0.4, 0.4, seed=1)
         # edge counts: the signal in question is which edges exist
         degrees = (g.dense(1) > 0).sum(axis=1)
         within, across = degrees[:40].mean(), degrees[40:].mean()
         se = degrees.std() / np.sqrt(40)
         assert abs(within - across) < 4 * se
 
-    def test_membership_shape_validated(self):
-        with pytest.raises(ValueError):
-            BenchmarkSpec(n=10, M=2, block_membership=np.zeros((3, 10), dtype=int),
-                          p_in=0.5, p_out=0.1)
-
     def test_probability_order_validated(self):
         with pytest.raises(ValueError):
-            BenchmarkSpec(n=10, M=2, block_membership=np.zeros((2, 10), dtype=int),
-                          p_in=0.1, p_out=0.5)
+            gen_planted_partition(np.zeros((2, 10), dtype=int), 0.1, 0.5)
 
     def test_weight_laws(self):
         membership = np.tile(np.repeat([0, 1], 10), (2, 1))
         for low, high in [(0.5, 1.5), (0.006, 0.018)]:
-            spec = BenchmarkSpec(n=20, M=2, block_membership=membership, p_in=0.9,
-                                 p_out=0.05, weight_range=(low, high), seed=2)
-            g = gen_planted_partition(spec)
+            g = gen_planted_partition(membership, 0.9, 0.05,
+                                      weight_range=(low, high), seed=2)
             for W in g.snapshots:
                 assert low <= W.data.min() and W.data.max() < high
 

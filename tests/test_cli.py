@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stgl import cli, clustering, laplacian, save_graph
+from stgl import ConvergenceFailure, cli, clustering, laplacian, save_graph
 from stgl.cli import main
 
 from test_graph_io import _csv_writer_bytes
@@ -422,6 +422,18 @@ class TestGyre:
         boxes = json.loads((out / "gyre_boxes.json").read_text())
         assert boxes["nx"] == 40 and boxes["ny"] == 20
         assert len(boxes["centers"]) == 800
+
+    def test_failed_clustering_leaves_no_files(self, tmp_path, monkeypatch,
+                                              capsys):
+        def fail(*args, **kwargs):
+            raise ConvergenceFailure("Lanczos iteration converged 0 of 2 "
+                                     "eigenpairs", converged=0, requested=2)
+
+        monkeypatch.setattr(cli, "spectral_cluster", fail)
+        out = tmp_path / "gyre"
+        assert run(["gyre", "--views", "2", "--out", str(out)]) == 4
+        assert "converged 0 of 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("views", [0, 1])
     def test_too_few_views_is_config_error(self, views, tmp_path):

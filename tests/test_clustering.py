@@ -24,14 +24,12 @@ class TestSelectSpatial:
         vecs = rng.standard_normal((12, 5))
         emb = make_embedding(vecs, ["constant", "temporal", "spatial",
                                     "temporal", "spatial"], n=4, M=3)
-        sel = select_spatial(emb, 3)
-        assert sel.selection == (0, 2, 4)
-        np.testing.assert_array_equal(sel.points, vecs[:, [0, 2, 4]])
+        assert select_spatial(emb, 3) == (0, 2, 4)
 
     def test_all_spatial_takes_first_k(self):
         vecs = np.random.default_rng(1).standard_normal((8, 4))
         emb = make_embedding(vecs, ["spatial"] * 4, n=4, M=2)
-        assert select_spatial(emb, 2).selection == (0, 1)
+        assert select_spatial(emb, 2) == (0, 1)
 
     def test_insufficient_raises(self):
         vecs = np.random.default_rng(2).standard_normal((8, 3))
@@ -143,6 +141,20 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)
 
+    def test_view_count_checked_before_any_restart(self, monkeypatch):
+        runs = []
+        real = clustering._lloyd
+
+        def spy(points, k, rng):
+            runs.append(k)
+            return real(points, k, rng)
+
+        monkeypatch.setattr(clustering, "_lloyd", spy)
+        pts = np.random.default_rng(9).standard_normal((7, 2))
+        with pytest.raises(ValueError, match="multiple of the view count"):
+            kmeans(pts, 2, restarts=10, views=2)
+        assert runs == []
+
 
 class TestAdjustedRandIndex:
     def test_identical_is_one(self):
@@ -200,15 +212,24 @@ class TestPipeline:
         b = spectral_cluster(graph, 2, seed=4, restarts=5)
         assert np.array_equal(a.clustering.labels, b.clustering.labels)
 
-    def test_embedding_row_indexing(self):
+    def test_embedding_row_indexing(self, monkeypatch):
+        # k-means clusters the selected columns; row i is (view i // n,
+        # vertex i % n)
+        clustered = []
+        real = clustering.kmeans
+
+        def spy(points, k, **kwargs):
+            clustered.append(points)
+            return real(points, k, **kwargs)
+
+        monkeypatch.setattr(clustering, "kmeans", spy)
         graph, _ = static_blocks(n=20, blocks=2, M=4, seed=2)
         res = spectral_cluster(graph, 2, seed=0)
-        points = res.selected.points
+        (points,) = clustered
         assert points.shape == (graph.M * graph.n, 2)
-        emb = res.embedding
-        j = res.selected.selection[1]
-        np.testing.assert_array_equal(points[:, 1],
-                                      emb.folded[j].ravel())
+        for col, j in enumerate(res.selection):
+            np.testing.assert_array_equal(points[:, col],
+                                          res.embedding.folded[j].ravel())
 
     def test_score_against(self):
         labels = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
@@ -220,4 +241,4 @@ class TestPipeline:
         graph, _ = static_blocks(n=12, blocks=3, M=3, p_in=0.9,
                                  p_out=0.05, seed=6)
         res = spectral_cluster(graph, 3, seed=0)
-        assert res.selected.points.shape[1] == 3
+        assert len(res.selection) == 3

@@ -259,12 +259,12 @@ class TestEigendecompose:
         # reproduces the dense eigenvalues, tags and partition
         g, truth = static_blocks(n=200, blocks=4, M=5, seed=0)
         lanczos = spectral_cluster(g, 4, truth=truth)
-        N = lanczos.system.size
+        N = g.M * g.n
         assert laplacian.DENSE_EIG_CUTOFF < N
-        assert lanczos_calls == [lanczos.system.n * (lanczos.system.M // 2)]
+        assert lanczos_calls == [g.n * (g.M // 2)]
         monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", 10 * N)
         dense = spectral_cluster(g, 4, truth=truth)
-        assert lanczos_calls == [lanczos.system.n * (lanczos.system.M // 2)]
+        assert lanczos_calls == [g.n * (g.M // 2)]
         np.testing.assert_allclose(lanczos.embedding.eigenvalues,
                                    dense.embedding.eigenvalues, rtol=0, atol=1e-12)
         assert lanczos.embedding.tags == dense.embedding.tags
@@ -318,11 +318,10 @@ class TestTemporalDeflation:
                     assert spread <= 1e-12 * np.abs(folded).max()
 
     def test_dense_deflation_matches_one_piece_product(self, monkeypatch):
-        # N = 300 takes the dense branch and crosses one row-slab boundary,
-        # and the slab-wise deflation has the bits of the one-piece product
+        # N = 300 takes the dense branch, and the block-wise deflation has
+        # the bits of the one-piece product
         g, _ = static_blocks(n=60, blocks=2, M=5, seed=0)
         system = build_system(g)
-        assert laplacian.LOW_RANK_ROW_CHUNK < system.size == 300
         solved = []
         real = laplacian.symmetric_eigenpairs
 
@@ -354,7 +353,8 @@ def assert_matches_reference(system, k, lanczos_calls):
     ref = reference_eigendecompose(system, k_request)
     np.testing.assert_allclose(ours.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
     assert ours.tags == ref.tags
-    labels = [kmeans(select_spatial(emb, k).points, k, views=system.M).labels
+    labels = [kmeans(emb.vectors[:, list(select_spatial(emb, k))], k,
+                     views=system.M).labels
               for emb in (ours, ref)]
     assert adjusted_rand_index(*labels) == 1.0
     V = ours.vectors

@@ -43,7 +43,7 @@ class TestBenchmark1Eigenvectors:
 
     def test_selection_skips_temporal(self, bench1):
         _, _, result = bench1
-        sel = result.selected.selection
+        sel = result.selection
         tags = result.embedding.tags
         assert all(tags[i] != "temporal" for i in sel)
         assert tags[sel[0]] == "constant"
@@ -55,7 +55,7 @@ class TestBenchmark1Eigenvectors:
         _, truth, result = bench1
         emb = result.embedding
         best, best_sep = None, 0.0
-        for j in result.selected.selection:
+        for j in result.selection:
             f10 = emb.folded[j][9]
             sep = abs(f10[truth[9] == 0].mean() - f10[truth[9] == 1].mean())
             sep /= max(f10.std(), 1e-15)
@@ -100,9 +100,9 @@ class TestBenchmark1Eigenvalues:
 def test_public_surface_is_pinned():
     # adding or removing an export must show up as a change to this list
     assert sorted(stgl.__all__) == [
-        "BenchmarkSpec", "ClusteringResult", "ConvergenceFailure",
-        "DegenerateInput", "DensityVanished", "DirectedInput", "Embedding",
-        "GraphFormatError", "GyreParams", "InsufficientSpatialEigenvectors",
+        "ClusteringResult", "ConvergenceFailure", "DegenerateInput",
+        "DensityVanished", "DirectedInput", "GraphFormatError", "GyreParams",
+        "InsufficientSpatialEigenvectors",
         "OperatorSequence", "PipelineResult", "SpatioTemporalSystem",
         "SpectralEmbedding", "StepTooLarge", "StglError", "SupraSystem",
         "TimeEvolvingGraph", "UlamGrid", "ZeroOutDegree",
