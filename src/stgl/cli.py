@@ -88,6 +88,13 @@ def _write_boxes(path, grid):
     })
 
 
+def _check_outputs(out, *names):
+    """Reject the first of ``names`` in ``out`` that is a directory, before any
+    of them is written, so a failed command leaves no partial set of files."""
+    for name in names:
+        io.check_output_file(os.path.join(out, name))
+
+
 def _save_pipeline(out, result, **results):
     """Write labels.csv and spectrum.csv; returns ``results`` plus the spectrum."""
     emb = result.embedding
@@ -105,9 +112,12 @@ def cmd_generate(args):
     _make_dir(os.path.dirname(path) or os.curdir)
     generate, k_true = GENERATORS[args.name]
     graph, labels = generate(args.seed)
+    boxes = os.path.splitext(path)[0] + "_boxes.json"
+    if args.name == "gyre":
+        io.check_output_file(boxes)
     io.save_graph(path, graph, labels)
     if args.name == "gyre":
-        _write_boxes(os.path.splitext(path)[0] + "_boxes.json", gyre_mod.UlamGrid())
+        _write_boxes(boxes, gyre_mod.UlamGrid())
     print(f"{args.name}: n={graph.n} M={graph.M} directed={graph.directed} "
           f"k_true={k_true} -> {path}")
     return 0
@@ -124,6 +134,8 @@ def cmd_cluster(args):
                               self_loops=not args.no_self_loops, truth=labels)
     timings["pipeline_s"] = time.perf_counter() - start
 
+    vectors = ("eigenvectors.csv",) if args.export_vectors else ()
+    _check_outputs(out, "labels.csv", "spectrum.csv", *vectors, "report.json")
     results = _save_pipeline(out, result, inertia=result.clustering.inertia,
                              ari_per_view=result.ari_per_view)
     if args.export_vectors:
@@ -167,6 +179,8 @@ def cmd_baseline(args):
         per_a.append(entry)
         per_a_labels.append(result.labels)
     # written only once every a has solved, so a failing a leaves no files
+    _check_outputs(out, *(f"labels_a{a:g}.csv" for a in a_grid),
+                   "baseline_report.json")
     for a, a_labels in zip(a_grid, per_a_labels):
         io.save_labels_csv(os.path.join(out, f"labels_a{a:g}.csv"), a_labels)
     timings["total_s"] = time.perf_counter() - start
@@ -193,6 +207,8 @@ def cmd_spectrum(args):
     emb = eigendecompose(system, min(args.j, system.size),
                          full_spectrum=args.full_spectrum)
     timings = {"total_s": time.perf_counter() - start}
+    vectors = ("eigenvectors.csv",) if args.export_vectors else ()
+    _check_outputs(out, "spectrum.csv", *vectors, "spectrum_report.json")
     io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues,
                          emb.tags)
     if args.export_vectors:
@@ -228,6 +244,8 @@ def cmd_gyre(args):
     boundary = gyre_mod.boundary_columns(result.clustering.labels, grid)
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
     # written only once clustering has succeeded, so a failure leaves no files
+    _check_outputs(out, "gyre.json", "gyre_boxes.json", "labels.csv",
+                   "spectrum.csv", "boundary.csv", "report.json")
     io.save_graph(os.path.join(out, "gyre.json"), graph)
     _write_boxes(os.path.join(out, "gyre_boxes.json"), grid)
     results = _save_pipeline(out, result, boundary_x=boundary,

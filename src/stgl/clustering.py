@@ -30,14 +30,14 @@ class ClusteringResult:
     inertia: float
 
 
-def select_spatial(embedding: SpectralEmbedding, k) -> tuple:
-    """Column indices of the first k non-temporal eigenvectors, in the
-    embedding's order.
+def select_spatial(tags, k) -> tuple:
+    """Indices of the first k eigenvectors whose tag is not "temporal", in
+    the order of ``tags``.
 
     The constant first eigenvector is retained by convention; temporal
     eigenvectors (constant within each view) are filtered out.
     """
-    keep = tuple(i for i, tag in enumerate(embedding.tags) if tag != "temporal")
+    keep = tuple(i for i, tag in enumerate(tags) if tag != "temporal")
     if len(keep) < k:
         raise InsufficientSpatialEigenvectors(len(keep), k)
     return keep[:k]
@@ -189,7 +189,7 @@ def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
     if k > N - M + 1:
         raise InsufficientSpatialEigenvectors(N - M + 1, k)
     embedding = eigendecompose(system, min(N, k + M + 3))
-    selection = select_spatial(embedding, k)
+    selection = select_spatial(embedding.tags, k)
     result = kmeans(embedding.vectors[:, list(selection)], k, seed=seed,
                     restarts=restarts, views=graph.M)
     ari = score_against(result.labels, truth) if truth is not None else None

@@ -6,7 +6,21 @@ boolean ``directed``, ``edges`` (records ``[t, i, j, w]`` with integer
 zero) and optionally ``labels`` (M arrays of n integers). Undirected
 graphs store each edge once with i <= j; the loader mirrors it. A header
 whose M n exceeds ``MAX_SYSTEM_SIZE`` is rejected before anything of size
-n is built.
+n is built. The limit bounds indices, not memory: n = 10^9 with M = 2
+passes it, and the views' CSR index pointers then take M (n + 1) entries
+whatever the edge count.
+
+``load_graph`` reads the file as bytes and takes one of two routes, chosen
+by the bytes alone. A file that starts with exactly the bytes ``save_graph``
+writes before the first edge record (``_SAVED_PREFIX``) and holds no string
+in its ``edges`` array has that array parsed by orjson ``READ_SLICE_BYTES``
+at a time, each slice cut between two records and turned into columns
+before the next is parsed; the members after the array go through ``json``. Any other layout, and any file in
+which that route finds anything amiss, is parsed whole by ``json.load``, so
+every file gives the graph and the error the ``json`` route gives. The
+sliced route holds the file's bytes, one slice of parsed records and the
+edge columns (32 bytes a record), where the ``json`` route holds every
+record as Python objects (about 200 bytes a record).
 
 Every writer goes through one atomic handle, ``atomic_file``: a temp file
 in the destination directory, created with the mode ``open(path, "w")``
@@ -28,6 +42,7 @@ import json
 import math
 import operator
 import os
+import re
 
 import numpy as np
 import orjson
@@ -46,14 +61,29 @@ MAX_SYSTEM_SIZE = 2**31 - 1
 # threshold, so its text is carved from the heap instead of mapped afresh.
 WRITE_ROW_CHUNK = 1024
 
+# Bytes of the edges array parsed per orjson call by ``load_graph``; each
+# slice's records become columns before the next slice is parsed.
+READ_SLICE_BYTES = 512 * 1024
+
+# The members save_graph writes before the edge records, from byte 0 on
+_SAVED_PREFIX = re.compile(
+    rb'\{\n  "M": (-?(?:0|[1-9][0-9]*)),\n  "directed": (true|false),\n  "edges": \[')
+_RECORD_BREAK = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
+_MEMBER_BREAK = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
+
+
+def check_output_file(path):
+    """ValueError where ``path`` is a directory, so no file can take its name."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {os.fspath(path)!r} is a directory")
+
 
 @contextlib.contextmanager
 def atomic_file(path):
     """Text handle (``newline=""``) on a temp file beside ``path``, renamed
     to ``path`` when the block exits cleanly and removed when it raises; a
     ``path`` that is a directory is a ValueError before anything is written."""
-    if os.path.isdir(path):
-        raise ValueError(f"output path {os.fspath(path)!r} is a directory")
+    check_output_file(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     while True:  # mode 0o666 under the umask, where mkstemp would give 0o600
@@ -170,6 +200,46 @@ def _edge_order(t, i, j, n):
     return np.argsort((t * n + i) * n + j, kind="stable")
 
 
+def _sliced_document(path):
+    """The graph document of the file ``path`` in ``save_graph``'s layout,
+    with ``edges`` already the tuple of t, i, j, w columns; None where the
+    file has another layout or the ``json`` route might give another result.
+
+    With no string in the edges array, the first ``"`` after it opens the
+    next member. Each slice is a run of records, so once each slice parses
+    to flat number records, the whole array is their concatenation.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        head = _SAVED_PREFIX.match(data)
+        if head is None:
+            return None
+        start = head.end()
+        quote = data.find(b'"', start)
+        close = data.rfind(b"]", start, quote)
+        if quote < 0 or close < 0 or not _MEMBER_BREAK.fullmatch(data, close + 1, quote):
+            return None
+        doc = json.loads("{" + data[quote:].decode("utf-8"))
+        if not doc.keys().isdisjoint(("M", "directed", "edges")):
+            return None  # json keeps the last of repeated keys
+        doc.update(M=int(head[1]), directed=head[2] == b"true")
+        view, pieces = memoryview(data), []
+        while True:
+            cut = _RECORD_BREAK.search(data, start + READ_SLICE_BYTES, close)
+            end = close if cut is None else cut.start() + 1
+            records = orjson.loads(b"".join((b"[", view[start:end], b"]")))
+            pieces.append(_edge_columns(records))
+            if cut is None:
+                break
+            start = cut.end() - 1
+    except (OSError, ValueError, RecursionError, GraphFormatError):
+        return None  # the json route gives the error, or the graph
+    del view, data, records
+    doc["edges"] = tuple(map(np.concatenate, zip(*pieces)))
+    return doc
+
+
 def load_graph(path):
     """Read a graph JSON file; returns (graph, labels-or-None)."""
     # the parsed document holds no reference cycles, so the collector passes
@@ -177,13 +247,15 @@ def load_graph(path):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            raise
-        except (OSError, ValueError) as err:  # decode errors are ValueErrors
-            raise GraphFormatError(f"not a readable JSON file: {err}") from err
+        doc = _sliced_document(path)
+        if doc is None:
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    doc = json.load(handle)
+            except FileNotFoundError:
+                raise
+            except (OSError, ValueError) as err:  # decode errors are ValueErrors
+                raise GraphFormatError(f"not a readable JSON file: {err}") from err
         try:
             n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]
         except (KeyError, TypeError) as err:
@@ -195,7 +267,8 @@ def load_graph(path):
         if M * n > MAX_SYSTEM_SIZE:
             raise GraphFormatError(f"n = {n} vertices over M = {M} views exceed "
                                    f"the system size limit of {MAX_SYSTEM_SIZE}")
-        t, i, j, w = _edge_columns(edges)
+        # the sliced route has built the columns already; json gives no tuple
+        t, i, j, w = edges if type(edges) is tuple else _edge_columns(edges)
         del doc["edges"], edges  # else the first pass after would traverse them
     finally:
         if collecting:

@@ -124,8 +124,7 @@ class SpectralEmbedding:
     are B-orthonormal. ``folded[i]`` is eigenvector i viewed as M x n, and
     ``tags[i]`` is one of "constant", "temporal", "spatial": exact, since
     the temporal pairs are built in closed form and the spatial ones solved
-    on the complement of the per-view constants. ``supra_cluster`` also
-    wraps supra-Laplacian eigenpairs in it (ascending, tags thresholded).
+    on the complement of the per-view constants.
     """
 
     n: int

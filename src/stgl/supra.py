@@ -28,7 +28,7 @@ from scipy import sparse
 from .clustering import ClusteringResult, kmeans, select_spatial
 from .errors import DirectedInput
 from .graph import TimeEvolvingGraph
-from .laplacian import SpectralEmbedding, symmetric_eigenpairs
+from .laplacian import symmetric_eigenpairs
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -161,8 +161,6 @@ def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
     else:
         # unfiltered: every vector is eligible
         tags = ("spatial",) * len(vals)
-    embedding = SpectralEmbedding(n=n, M=M, eigenvalues=vals, vectors=vecs,
-                                  tags=tags)
-    selection = select_spatial(embedding, k)
+    selection = select_spatial(tags, k)
     return kmeans(vecs[:, list(selection)], k, seed=seed, restarts=restarts,
                   views=M)

@@ -5,6 +5,7 @@ tolerances are fixed here; the heavyweight artifacts (benchmark and gyre
 runs) are shared through module-scoped fixtures.
 """
 
+import json
 import time
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from stgl import (GyreParams, UlamGrid, adjusted_rand_index, boundary_columns,
                   build_supra, eigendecompose, gen_benchmark1, gen_benchmark2,
-                  gyre_graph, integrate_rk4, propagate_densities,
-                  score_against, spectral_cluster, symmetrize)
+                  integrate_rk4, propagate_densities, score_against,
+                  spectral_cluster, symmetrize)
 from stgl.laplacian import assemble_system
 from stgl.supra import supra_cluster
 
@@ -72,11 +73,16 @@ def bench2_runs():
 
 
 @pytest.fixture(scope="module")
-def gyre_run():
-    start = time.perf_counter()
-    graph = gyre_graph(seed=0)
-    result = spectral_cluster(graph, 2, seed=1, self_loops=False)
-    return graph, result, time.perf_counter() - start
+def gyre_run(gyre_cli_run):
+    """The labels, eigenvalues and tags of the shared ``stgl gyre`` run, read
+    from its labels.csv and report.json, and its wall time."""
+    out, code, elapsed = gyre_cli_run
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = np.loadtxt(out / "labels.csv", dtype=int, delimiter=",", skiprows=1)
+    labels = rows[:, 2].reshape(rows[-1, 0], -1)  # rows in (view, vertex) order
+    return (labels, np.array(report["results"]["eigenvalues"]),
+            tuple(report["results"]["tags"]), elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +252,10 @@ def test_c10_supra_regimes(bench1_runs):
 
 
 def test_c11_double_gyre(gyre_run):
-    graph, result, elapsed = gyre_run
-    boundary = boundary_columns(result.clustering.labels, UlamGrid())
+    labels, _, tags, elapsed = gyre_run
+    boundary = boundary_columns(labels, UlamGrid())
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
-    tags5 = result.embedding.tags[:5]
+    tags5 = tags[:5]
     ok = (0.2 - 1e-9 <= amplitude <= 0.3 + 1e-9
           and all(tag == "spatial" for tag in tags5[1:])
           and tags5[0] == "constant"
@@ -272,8 +278,7 @@ def test_c11_double_gyre(gyre_run):
            "lam2 - lam3 exceeds 15x the following gaps. See the c11b note in "
            "ROADMAP.md.")
 def test_c11b_double_gyre_gap_ratio(gyre_run):
-    _, result, _ = gyre_run
-    ev = result.embedding.eigenvalues
+    _, ev, _, _ = gyre_run
     ratio = float(ev[1] / ev[2])
     l_ratio = float((1 - ev[2]) / (1 - ev[1]))
     report(11, "double gyre C-eigenvalue gap ratio", ratio > 1.05,

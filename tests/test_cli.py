@@ -137,6 +137,29 @@ class TestOutputLocation:
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert os.listdir(tmp_path / name) == []
 
+    @pytest.mark.parametrize("argv,name", [
+        (["cluster", "--generator", "linegraph", "--k", "3", "--export-vectors"],
+         "report.json"),
+        (["spectrum", "--generator", "linegraph", "--export-vectors"],
+         "spectrum_report.json"),
+        (["gyre", "--views", "2"], "report.json"),
+        (["baseline", "--generator", "planted", "--k", "2", "--a-grid", "0.5"],
+         "baseline_report.json"),
+        (["generate", "gyre"], "gyre_boxes.json"),
+    ], ids=["cluster", "spectrum", "gyre", "baseline", "generate"])
+    def test_no_file_written_before_a_later_name_fails(self, tmp_path, monkeypatch,
+                                                       capsys, argv, name):
+        # each command checks every output name before it writes the first;
+        # the line graph stands in for the gyre generator's graph, which takes
+        # seconds to build, and the output names stay the same
+        monkeypatch.setitem(cli.GENERATORS, "gyre", cli.GENERATORS["linegraph"])
+        (tmp_path / name).mkdir()
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output path {str(tmp_path / name)!r} is a directory\n"
+        assert os.listdir(tmp_path) == [name]
+        assert os.listdir(tmp_path / name) == []
+
     def test_missing_input_stays_format_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["cluster", "--input", "missing.json", "--k", "2",
@@ -401,9 +424,8 @@ class TestBaseline:
 
 
 class TestGyre:
-    def test_full_gyre_pipeline(self, tmp_path):
-        out = tmp_path / "gyre"
-        code = run(["gyre", "--k", "2", "--seed", "1", "--out", str(out)])
+    def test_full_gyre_pipeline(self, gyre_cli_run):
+        out, code, _ = gyre_cli_run
         assert code == 0
         for name in ("gyre.json", "gyre_boxes.json", "labels.csv",
                      "spectrum.csv", "boundary.csv", "report.json"):

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
@@ -197,16 +198,23 @@ class TestLoaderAgainstReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "graph.json")
             save_graph(path, graph, labels)
+            texts = []
             if kind is not None:
                 with open(path) as handle:
-                    text = corrupt(handle.read(), kind, data.draw)
-                with open(path, "w") as handle:
-                    handle.write(text)
-            got = _load_or_none(load_graph, path)
-            want = _load_or_none(reference_load_graph, path)
-        assert (got is None) == (want is None), kind
-        if got is not None:
-            assert_same_load(got, want)
+                    texts.append(corrupt(handle.read(), kind, data.draw))
+                if kind != "truncate":
+                    # also in save_graph's layout, which the sliced route reads
+                    texts.append(json.dumps(json.loads(texts[0]), indent=2,
+                                            sort_keys=True))
+            for text in texts or [None]:
+                if text is not None:
+                    with open(path, "w") as handle:
+                        handle.write(text)
+                got = _load_or_none(load_graph, path)
+                want = _load_or_none(reference_load_graph, path)
+                assert (got is None) == (want is None), kind
+                if got is not None:
+                    assert_same_load(got, want)
 
     @pytest.mark.parametrize("edges", [
         [[1, 0, 1]], [[1, 0, 1, 1.0, 2]], [{"t": 1, "i": 0, "j": 1, "w": 2}],
@@ -286,17 +294,158 @@ class TestCollectorPause:
 
     def test_paused_while_parsing(self, tmp_path, monkeypatch):
         seen = []
-        for owner, name in ((json, "load"), (stgl_io, "_edge_columns")):
-            def spy(*args, real=getattr(owner, name)):
-                seen.append(gc.isenabled())
-                return real(*args)
+        for owner, name in ((json, "load"), (json, "loads"), (orjson, "loads"),
+                            (stgl_io, "_edge_columns")):
+            def spy(*args, real=getattr(owner, name), name=f"{owner.__name__}.{name}",
+                    **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
+        graph = random_teg(0)
         path = tmp_path / "g.json"
-        save_graph(path, random_teg(0))
-        with _collector(True):
-            load_graph(path)
-            assert gc.isenabled()
-        assert seen == [False, False]
+        # save_graph's layout takes the sliced route, compact JSON the json route
+        for write, route in (
+                (lambda: save_graph(path, graph), {"orjson.loads", "json.loads",
+                                                   "stgl.io._edge_columns"}),
+                (lambda: path.write_text(json.dumps(reference_graph_payload(graph))),
+                 {"json.load", "json.loads", "stgl.io._edge_columns"})):
+            write()
+            seen.clear()
+            with _collector(True):
+                load_graph(path)
+                assert gc.isenabled()
+            assert {name for name, _ in seen} == route
+            assert not any(enabled for _, enabled in seen)
+
+
+def _small_saved_graph(path):
+    """A directed 3-vertex, 2-view graph with labels, saved by ``save_graph``."""
+    W1 = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    W2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    save_graph(path, TimeEvolvingGraph.from_dense([W1, W2], directed=True),
+               [[0, 0, 1], [1, 1, 0]])
+    return path.read_text()
+
+
+_FIRST_RECORD = "    [\n      1,\n      0,\n      1,\n      0.5\n"
+
+
+def _weight(value):
+    return lambda text: text.replace("      0.5\n", f"      {value}\n")
+
+
+def _view(value):
+    return lambda text: text.replace(
+        _FIRST_RECORD, _FIRST_RECORD.replace("      1,\n", f"      {value},\n", 1))
+
+
+class TestSlicedRoute:
+    """Every file gives the graph or the error the ``json`` route gives; the
+    bytes alone choose the route."""
+
+    @pytest.fixture()
+    def json_load_calls(self, monkeypatch):
+        """A list that grows by one item per ``json.load`` call."""
+        calls = []
+        real = json.load
+        monkeypatch.setattr(json, "load", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @staticmethod
+    def outcome(path):
+        try:
+            return load_graph(path)
+        except GraphFormatError as err:
+            return str(err)
+
+    @staticmethod
+    def json_route_outcome(path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(stgl_io, "_sliced_document", lambda path: None)
+            return TestSlicedRoute.outcome(path)
+
+    def assert_json_route_outcome(self, path, monkeypatch):
+        got, want = self.outcome(path), self.json_route_outcome(path, monkeypatch)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_load(got, want)
+        return got
+
+    # the messages are the parent's, which read every file through json.load
+    @pytest.mark.parametrize("edit,route,message", [
+        (lambda text: text.replace("\n", "\r\n"), "json", None),
+        (lambda text: "\ufeff" + text, "json", "not a readable JSON file: Unexpected "
+         "UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (lambda text: text.replace("      3.0\n    ]\n  ],", "      3.0\n    ],\n  ],"),
+         "json", "not a readable JSON file: Expecting value: line 29 column 3 (char 247)"),
+        (lambda text: text.replace('\n  "n": 3', '\n  "edges": [[2, 1, 1, 4.0]],\n  "n": 3'),
+         "json", None),
+        (lambda text: text[:text.index('"edges": [') + 10]
+         + text[text.index('],\n  "labels"'):], "sliced", None),
+        (_weight(2**64 + 1), "sliced", None),
+        (_weight("1e400"), "json", "edge weight must be positive and finite, got inf"),
+        (_weight("NaN"), "json", "edge weight must be positive and finite, got nan"),
+        (_weight("0.1000000000000000055511151231257827021181583404541015625"),
+         "sliced", None),
+        (_view("1.0"), "json", "edges must be a list of [t, i, j, w] number records, "
+         "got [1.0, 0, 1, 0.5]"),
+        (_view("-0"), "sliced", "view 0 out of range [1, 2]"),
+        (_view("01"), "json", "not a readable JSON file: Expecting ',' delimiter: "
+         "line 6 column 8 (char 58)"),
+    ], ids=["crlf", "bom", "trailing-comma", "second-edges", "no-edges",
+            "weight-2**64+1", "weight-1e400", "weight-NaN", "weight-long-0.1",
+            "view-1.0", "view--0", "view-01"])
+    def test_pinned_cases(self, tmp_path, monkeypatch, json_load_calls, edit, route,
+                          message):
+        path = tmp_path / "g.json"
+        text = edit(_small_saved_graph(path))
+        path.write_bytes(text.encode())
+        got = self.assert_json_route_outcome(path, monkeypatch)
+        # one json.load for the json route's outcome, one more if load_graph
+        # took that route
+        assert len(json_load_calls) == 1 + (route == "json")
+        if message is not None:
+            assert got == message
+        else:
+            assert_same_load(got, reference_load_graph(path))
+
+    @pytest.mark.parametrize("chunk", [1, 60, 150])
+    @pytest.mark.parametrize("bad", ["1.0, 0, 1, 1.0", "1, 0, 1, NaN", "1, 0, 9, 1.0",
+                                     f"{2**64 + 1}, 0, 1, 1.0",
+                                     '1, 0, 1, "x"', "1, 0, 1", "1, 0, [1], 1.0"])
+    def test_slice_cut_next_to_a_bad_record(self, tmp_path, monkeypatch, chunk, bad):
+        # records are about 60 bytes apart: a cut falls on each side of every
+        # record at chunk 1, and beside some of them at the larger chunks
+        monkeypatch.setattr(stgl_io, "READ_SLICE_BYTES", chunk)
+        doc = reference_graph_payload(random_teg(3, n_max=8, M_max=2))
+        path = tmp_path / "g.json"
+        count = len(doc["edges"])
+        for k in sorted({0, 1, count // 2, count - 1}):
+            edges = doc["edges"][:k] + ["bad"] + doc["edges"][k + 1:]
+            text = json.dumps({**doc, "edges": edges}, indent=2, sort_keys=True)
+            path.write_text(text.replace('"bad"', f"[{bad}]"))
+            assert isinstance(self.assert_json_route_outcome(path, monkeypatch), str)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        assert_same_load(self.assert_json_route_outcome(path, monkeypatch),
+                         reference_load_graph(path))
+
+    def test_peak_below_the_json_route(self, tmp_path):
+        # the json route holds every record as Python objects, the sliced
+        # route the bytes and the columns (30.6 MB against 48.0 MB, numpy 2.4);
+        # a leading space sends the same document to the json route
+        path, spaced = tmp_path / "b2.json", tmp_path / "spaced.json"
+        save_graph(path, *gen_benchmark2(0))
+        spaced.write_bytes(b" " + path.read_bytes())
+        peaks = []
+        for file in (path, spaced):
+            tracemalloc.start()
+            try:
+                load_graph(file)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.75 * peaks[1]
 
 
 class TestEdgeOrder:

@@ -353,7 +353,7 @@ def assert_matches_reference(system, k, lanczos_calls):
     ref = reference_eigendecompose(system, k_request)
     np.testing.assert_allclose(ours.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
     assert ours.tags == ref.tags
-    labels = [kmeans(emb.vectors[:, list(select_spatial(emb, k))], k,
+    labels = [kmeans(emb.vectors[:, list(select_spatial(emb.tags, k))], k,
                      views=system.M).labels
               for emb in (ours, ref)]
     assert adjusted_rand_index(*labels) == 1.0
