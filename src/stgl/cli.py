@@ -73,10 +73,12 @@ def _add_cluster_options(parser):
 
 
 def _check_counts(args):
-    """Reject a --k or --restarts below 1 before any work or file write."""
-    for flag in ("k", "restarts"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    """Reject a --k or --restarts below 1 or a --seed below 0, where the command
+    has that option, before any input is read or directory made."""
+    for flag, least in (("k", 1), ("restarts", 1), ("seed", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
 
 
 def _write_boxes(path, grid):
@@ -88,20 +90,28 @@ def _write_boxes(path, grid):
     })
 
 
-def _check_outputs(out, *names):
-    """Reject the first of ``names`` in ``out`` that is a directory, before any
-    of them is written, so a failed command leaves no partial set of files."""
-    for name in names:
-        io.check_output_file(os.path.join(out, name))
+def _write_outputs(out, *files):
+    """Write each ``(name, writer, *args)`` of ``files``, in order, by
+    ``writer(os.path.join(out, name), *args)`` (an ``out`` of "" keeps paths).
+    A name given twice, or one that is a directory, is a ValueError before the
+    first write, so a failed command leaves no partial set of files."""
+    paths = [os.path.join(out, name) for name, *_ in files]
+    for k, path in enumerate(paths):
+        if path in paths[:k]:
+            raise ValueError(f"two output files of this run are named {path!r}")
+        io.check_output_file(path)
+    for path, (_, writer, *args) in zip(paths, files):
+        writer(path, *args)
 
 
-def _save_pipeline(out, result, **results):
-    """Write labels.csv and spectrum.csv; returns ``results`` plus the spectrum."""
+def _pipeline_outputs(result, **results):
+    """The labels.csv and spectrum.csv entries of a pipeline result, and
+    ``results`` plus its spectrum and selection."""
     emb = result.embedding
-    io.save_labels_csv(os.path.join(out, "labels.csv"), result.clustering.labels)
-    io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues, emb.tags)
-    return {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags),
-            "selection": [i + 1 for i in result.selection], **results}
+    return ((("labels.csv", io.save_labels_csv, result.clustering.labels),
+             ("spectrum.csv", io.save_spectrum_csv, emb.eigenvalues, emb.tags)),
+            {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags),
+             "selection": [i + 1 for i in result.selection], **results})
 
 
 def cmd_generate(args):
@@ -112,12 +122,9 @@ def cmd_generate(args):
     _make_dir(os.path.dirname(path) or os.curdir)
     generate, k_true = GENERATORS[args.name]
     graph, labels = generate(args.seed)
-    boxes = os.path.splitext(path)[0] + "_boxes.json"
-    if args.name == "gyre":
-        io.check_output_file(boxes)
-    io.save_graph(path, graph, labels)
-    if args.name == "gyre":
-        _write_boxes(boxes, gyre_mod.UlamGrid())
+    boxes = ([(os.path.splitext(path)[0] + "_boxes.json", _write_boxes,
+               gyre_mod.UlamGrid())] if args.name == "gyre" else [])
+    _write_outputs("", (path, io.save_graph, graph, labels), *boxes)
     print(f"{args.name}: n={graph.n} M={graph.M} directed={graph.directed} "
           f"k_true={k_true} -> {path}")
     return 0
@@ -127,23 +134,21 @@ def cmd_cluster(args):
     _check_counts(args)
     graph, labels, source = _load_input(args)
     out = _make_dir(args.out)
-    timings = {}
     start = time.perf_counter()
     result = spectral_cluster(graph, args.k, seed=args.seed,
                               restarts=args.restarts,
                               self_loops=not args.no_self_loops, truth=labels)
-    timings["pipeline_s"] = time.perf_counter() - start
+    timings = {"pipeline_s": time.perf_counter() - start}
 
-    vectors = ("eigenvectors.csv",) if args.export_vectors else ()
-    _check_outputs(out, "labels.csv", "spectrum.csv", *vectors, "report.json")
-    results = _save_pipeline(out, result, inertia=result.clustering.inertia,
-                             ari_per_view=result.ari_per_view)
-    if args.export_vectors:
-        io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), result.embedding)
+    files, results = _pipeline_outputs(result, inertia=result.clustering.inertia,
+                                       ari_per_view=result.ari_per_view)
     config = {"command": "cluster", "k": args.k, "seed": args.seed,
               "restarts": args.restarts, "self_loops": not args.no_self_loops,
               **source}
-    io.write_report(os.path.join(out, "report.json"), config, results, timings)
+    vectors = ([("eigenvectors.csv", io.save_eigenvectors_csv, result.embedding)]
+               if args.export_vectors else [])
+    _write_outputs(out, *files, *vectors,
+                   ("report.json", io.write_report, config, results, timings))
     if result.ari_per_view is not None:
         ari = result.ari_per_view
         print(f"ARI view 1: {ari[0]:.3f}  view {graph.M}: {ari[-1]:.3f}")
@@ -162,7 +167,6 @@ def cmd_baseline(args):
         print("warning: directed input symmetrized for the supra-Laplacian",
               file=sys.stderr)
         graph = supra_mod.symmetrize(graph)
-    timings = {}
     per_a = []
     per_a_labels = []
     start = time.perf_counter()
@@ -178,12 +182,7 @@ def cmd_baseline(args):
             entry["ari_endpoint_mean"] = float((ari[0] + ari[-1]) / 2.0)
         per_a.append(entry)
         per_a_labels.append(result.labels)
-    # written only once every a has solved, so a failing a leaves no files
-    _check_outputs(out, *(f"labels_a{a:g}.csv" for a in a_grid),
-                   "baseline_report.json")
-    for a, a_labels in zip(a_grid, per_a_labels):
-        io.save_labels_csv(os.path.join(out, f"labels_a{a:g}.csv"), a_labels)
-    timings["total_s"] = time.perf_counter() - start
+    timings = {"total_s": time.perf_counter() - start}
     results = {"per_a": per_a, "laplacian_variant": args.laplacian_variant}
     if labels is not None:
         best = max(per_a, key=lambda e: e["ari_endpoint_mean"])
@@ -192,8 +191,10 @@ def cmd_baseline(args):
               "laplacian_variant": args.laplacian_variant, "seed": args.seed,
               "restarts": args.restarts,
               "keep_temporal": args.keep_temporal, **source}
-    io.write_report(os.path.join(out, "baseline_report.json"), config, results,
-                    timings)
+    _write_outputs(out, *((f"labels_a{a:g}.csv", io.save_labels_csv, a_labels)
+                          for a, a_labels in zip(a_grid, per_a_labels)),
+                   ("baseline_report.json", io.write_report, config, results,
+                    timings))
     print(f"wrote baseline_report.json to {out}")
     return 0
 
@@ -207,18 +208,16 @@ def cmd_spectrum(args):
     emb = eigendecompose(system, min(args.j, system.size),
                          full_spectrum=args.full_spectrum)
     timings = {"total_s": time.perf_counter() - start}
-    vectors = ("eigenvectors.csv",) if args.export_vectors else ()
-    _check_outputs(out, "spectrum.csv", *vectors, "spectrum_report.json")
-    io.save_spectrum_csv(os.path.join(out, "spectrum.csv"), emb.eigenvalues,
-                         emb.tags)
-    if args.export_vectors:
-        io.save_eigenvectors_csv(os.path.join(out, "eigenvectors.csv"), emb)
     config = {"command": "spectrum", "j": args.j,
               "full_spectrum": args.full_spectrum,
               "self_loops": not args.no_self_loops, **source}
-    io.write_report(os.path.join(out, "spectrum_report.json"), config,
-                    {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags)},
-                    timings)
+    results = {"eigenvalues": emb.eigenvalues, "tags": list(emb.tags)}
+    vectors = ([("eigenvectors.csv", io.save_eigenvectors_csv, emb)]
+               if args.export_vectors else [])
+    _write_outputs(out, ("spectrum.csv", io.save_spectrum_csv, emb.eigenvalues,
+                         emb.tags), *vectors,
+                   ("spectrum_report.json", io.write_report, config, results,
+                    timings))
     for i, (ev, tag) in enumerate(zip(emb.eigenvalues, emb.tags), start=1):
         print(f"{i:3d}  C: {ev: .6f}  L: {1 - ev: .6f}  {tag}")
     return 0
@@ -243,25 +242,23 @@ def cmd_gyre(args):
     timings["pipeline_s"] = time.perf_counter() - start
     boundary = gyre_mod.boundary_columns(result.clustering.labels, grid)
     amplitude = float((boundary.max() - boundary.min()) / 2.0)
-    # written only once clustering has succeeded, so a failure leaves no files
-    _check_outputs(out, "gyre.json", "gyre_boxes.json", "labels.csv",
-                   "spectrum.csv", "boundary.csv", "report.json")
-    io.save_graph(os.path.join(out, "gyre.json"), graph)
-    _write_boxes(os.path.join(out, "gyre_boxes.json"), grid)
-    results = _save_pipeline(out, result, boundary_x=boundary,
-                             boundary_amplitude=amplitude)
-    io.write_csv(os.path.join(out, "boundary.csv"), ["view", "boundary_x"],
-                 [range(1, len(boundary) + 1), boundary])
+    files, results = _pipeline_outputs(result, boundary_x=boundary,
+                                       boundary_amplitude=amplitude)
     config = {"command": "gyre", "k": args.k, "views": args.views,
               "gen_seed": args.gen_seed, "seed": args.seed,
               "restarts": args.restarts}
-    io.write_report(os.path.join(out, "report.json"), config, results, timings)
+    _write_outputs(out, ("gyre.json", io.save_graph, graph),
+                   ("gyre_boxes.json", _write_boxes, grid), *files,
+                   ("boundary.csv", io.write_csv, ["view", "boundary_x"],
+                    [range(1, len(boundary) + 1), boundary]),
+                   ("report.json", io.write_report, config, results, timings))
     print(f"boundary oscillates in [{boundary.min():.3f}, {boundary.max():.3f}]; "
           f"wrote artifacts to {out}")
     return 0
 
 
 def cmd_walk(args):
+    _check_counts(args)
     graph, _, source = _load_input(args)
     vertices = sorted(int(v) for v in args.vertices.split(",") if v.strip())
     if not vertices:
@@ -276,7 +273,7 @@ def cmd_walk(args):
               "seed": args.seed, "self_loops": not args.no_self_loops, **source}
     results = {"escape_rate": rate, "occupancy_per_view": occ,
                "final_outside_fraction": float(1.0 - occ[-1])}
-    io.write_report(os.path.join(out, "walk_report.json"), config, results, {})
+    _write_outputs(out, ("walk_report.json", io.write_report, config, results, {}))
     print(f"escape rate of {vertices}: {rate:.4f}; "
           f"final outside fraction {1 - occ[-1]:.4f}")
     return 0

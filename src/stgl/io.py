@@ -15,7 +15,8 @@ by the bytes alone. A file that starts with exactly the bytes ``save_graph``
 writes before the first edge record (``_SAVED_PREFIX``) and holds no string
 in its ``edges`` array has that array parsed by orjson ``READ_SLICE_BYTES``
 at a time, each slice cut between two records and turned into columns
-before the next is parsed; the members after the array go through ``json``. Any other layout, and any file in
+before the next is parsed; one ``json.loads`` parses every other member, in
+the document with that array emptied. Any other layout, and any file in
 which that route finds anything amiss, is parsed whole by ``json.load``, so
 every file gives the graph and the error the ``json`` route gives. The
 sliced route holds the file's bytes, one slice of parsed records and the
@@ -67,9 +68,8 @@ READ_SLICE_BYTES = 512 * 1024
 
 # The members save_graph writes before the edge records, from byte 0 on
 _SAVED_PREFIX = re.compile(
-    rb'\{\n  "M": (-?(?:0|[1-9][0-9]*)),\n  "directed": (true|false),\n  "edges": \[')
+    rb'\{\n  "M": -?(?:0|[1-9][0-9]*),\n  "directed": (?:true|false),\n  "edges": \[')
 _RECORD_BREAK = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
-_MEMBER_BREAK = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
 
 
 def check_output_file(path):
@@ -206,7 +206,9 @@ def _sliced_document(path):
     file has another layout or the ``json`` route might give another result.
 
     With no string in the edges array, the first ``"`` after it opens the
-    next member. Each slice is a run of records, so once each slice parses
+    next member. ``json`` parses the document with the array emptied, so a
+    later ``edges`` key, or an escape that may spell one, is left to the
+    ``json`` route. Each slice is a run of records, so once each slice parses
     to flat number records, the whole array is their concatenation.
     """
     try:
@@ -218,12 +220,11 @@ def _sliced_document(path):
         start = head.end()
         quote = data.find(b'"', start)
         close = data.rfind(b"]", start, quote)
-        if quote < 0 or close < 0 or not _MEMBER_BREAK.fullmatch(data, close + 1, quote):
+        if quote < 0 or close < 0 or data.find(b'"edges"', close) >= 0 \
+                or data.find(b"\\", close) >= 0:
             return None
-        doc = json.loads("{" + data[quote:].decode("utf-8"))
-        if not doc.keys().isdisjoint(("M", "directed", "edges")):
-            return None  # json keeps the last of repeated keys
-        doc.update(M=int(head[1]), directed=head[2] == b"true")
+        # strict decoding: json.loads on bytes would pass a lone surrogate
+        doc = json.loads((data[:start] + data[close:]).decode("utf-8"))
         view, pieces = memoryview(data), []
         while True:
             cut = _RECORD_BREAK.search(data, start + READ_SLICE_BYTES, close)
@@ -254,7 +255,8 @@ def load_graph(path):
                     doc = json.load(handle)
             except FileNotFoundError:
                 raise
-            except (OSError, ValueError) as err:  # decode errors are ValueErrors
+            # decode errors are ValueErrors, deep nesting a RecursionError
+            except (OSError, ValueError, RecursionError) as err:
                 raise GraphFormatError(f"not a readable JSON file: {err}") from err
         try:
             n, M, directed, edges = doc["n"], doc["M"], doc["directed"], doc["edges"]

@@ -146,7 +146,9 @@ class TestOutputLocation:
         (["baseline", "--generator", "planted", "--k", "2", "--a-grid", "0.5"],
          "baseline_report.json"),
         (["generate", "gyre"], "gyre_boxes.json"),
-    ], ids=["cluster", "spectrum", "gyre", "baseline", "generate"])
+        (["walk", "--generator", "linegraph", "--vertices", "4,5"],
+         "walk_report.json"),
+    ], ids=["cluster", "spectrum", "gyre", "baseline", "generate", "walk"])
     def test_no_file_written_before_a_later_name_fails(self, tmp_path, monkeypatch,
                                                        capsys, argv, name):
         # each command checks every output name before it writes the first;
@@ -260,6 +262,27 @@ class TestCluster:
         lines = capsys.readouterr().err.splitlines()
         assert code == 3
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("layout", ["compact", "saved"])
+    def test_deeply_nested_input_is_format_error(self, tmp_path, capsys, layout):
+        # a member nested past Python's recursion limit, on the json route
+        # and in save_graph's layout
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        if layout == "compact":
+            path.write_text('{"n": 2, "M": 2, "directed": false, '
+                            f'"edges": [[1, 0, 1, 1.0]], "x": {deep}}}')
+        else:
+            save_graph(path, random_teg(0))
+            text = path.read_text()
+            path.write_text(text.replace('\n  "n": ', f'\n  "x": {deep},\n  "n": '))
+        assert run(["cluster", "--input", str(path), "--k", "1",
+                    "--out", str(tmp_path / "out")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: not a readable JSON file: maximum "
+                                   "recursion depth exceeded")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("directed,edges", [
         ("true", "[[1, 0, 1, NaN]]"),
@@ -407,6 +430,22 @@ class TestBaseline:
         assert code == 3
         assert not list(out.glob("labels_a*.csv"))
 
+    @pytest.mark.parametrize("a_grid,name", [
+        ("1.234567,1.2345671", "labels_a1.23457.csv"),
+        ("0.5,0.5", "labels_a0.5.csv"),
+    ])
+    def test_repeated_output_name_is_config_error(self, tmp_path, capsys, a_grid,
+                                                  name):
+        # two a values that format to one file name would leave one file for
+        # both; the run writes nothing instead
+        out = tmp_path / "base"
+        assert run(["baseline", "--generator", "planted", "--k", "2",
+                    "--a-grid", a_grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: two output files of this run are named "
+                       f"{str(out / name)!r}\n")
+        assert os.listdir(out) == []
+
     def test_negative_restarts_is_config_error(self, tmp_path, capsys):
         code = run(["baseline", "--generator", "planted", "--k", "2",
                     "--a-grid", "0.5", "--restarts", "-1", "--out", str(tmp_path)])
@@ -466,7 +505,8 @@ class TestGyre:
 
 
 class TestCountOptions:
-    """--k and --restarts below 1 are rejected before any work or write."""
+    """--k and --restarts below 1, and --seed below 0, are rejected before any
+    input is read or directory made."""
 
     COMMANDS = {
         "cluster": ["cluster", "--generator", "planted"],
@@ -474,28 +514,39 @@ class TestCountOptions:
         "gyre": ["gyre"],
     }
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--restarts", "0"),
-                                             ("--k", "-1"), ("--restarts", "-3")])
-    def test_rejected_up_front(self, tmp_path, monkeypatch, capsys, command,
-                               flag, value):
+    @staticmethod
+    def assert_rejected_up_front(monkeypatch, capsys, argv, out, message):
         def never(*args, **kwargs):
             raise AssertionError("work started before the options were checked")
 
         for owner, name in ((cli.gyre_mod, "gyre_graph"), (cli, "_load_input"),
                             (cli, "spectral_cluster"), (cli.io, "atomic_file")):
             monkeypatch.setattr(owner, name, never)
-        out = tmp_path / "out"
-        counts = {"--k": "2", "--restarts": "1", flag: value}
-        argv = self.COMMANDS[command] + [arg for pair in counts.items() for arg in pair]
-        argv += ["--out", str(out)]
         start = time.perf_counter()
-        assert run(argv) == 2
+        assert run(argv + ["--out", str(out)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert f"{flag} must be at least 1, got {value}" in err
+        assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--restarts", "0"),
+                                             ("--k", "-1"), ("--restarts", "-3"),
+                                             ("--seed", "-1")])
+    def test_rejected_up_front(self, tmp_path, monkeypatch, capsys, command,
+                               flag, value):
+        counts = {"--k": "2", "--restarts": "1", flag: value}
+        argv = self.COMMANDS[command] + [arg for pair in counts.items() for arg in pair]
+        least = 0 if flag == "--seed" else 1
+        self.assert_rejected_up_front(monkeypatch, capsys, argv, tmp_path / "out",
+                                      f"{flag} must be at least {least}, got {value}")
+
+    def test_walk_seed_rejected_up_front(self, tmp_path, monkeypatch, capsys):
+        argv = ["walk", "--generator", "linegraph", "--vertices", "4,5",
+                "--seed", "-1"]
+        self.assert_rejected_up_front(monkeypatch, capsys, argv, tmp_path / "out",
+                                      "--seed must be at least 0, got -1")
 
 
 class TestWalk:

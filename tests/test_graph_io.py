@@ -393,14 +393,20 @@ class TestSlicedRoute:
         (_view("-0"), "sliced", "view 0 out of range [1, 2]"),
         (_view("01"), "json", "not a readable JSON file: Expecting ',' delimiter: "
          "line 6 column 8 (char 58)"),
+        # json.loads would read these bytes as a string; strict UTF-8 does not
+        (lambda text: text.replace('\n  "n": 3', '\n  "x": "\ud800",\n  "n": 3'),
+         "json", "not a readable JSON file: 'utf-8' codec can't decode byte 0xed "
+         "in position 353: invalid continuation byte"),
+        (lambda text: text.replace('\n  "n": 3', '\n  "\\u0065dges": [[2, 1, 1, 4.0]],'
+                                   '\n  "n": 3'), "json", None),
     ], ids=["crlf", "bom", "trailing-comma", "second-edges", "no-edges",
             "weight-2**64+1", "weight-1e400", "weight-NaN", "weight-long-0.1",
-            "view-1.0", "view--0", "view-01"])
+            "view-1.0", "view--0", "view-01", "lone-surrogate", "escaped-edges"])
     def test_pinned_cases(self, tmp_path, monkeypatch, json_load_calls, edit, route,
                           message):
         path = tmp_path / "g.json"
         text = edit(_small_saved_graph(path))
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
         got = self.assert_json_route_outcome(path, monkeypatch)
         # one json.load for the json route's outcome, one more if load_graph
         # took that route

@@ -144,6 +144,30 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_commands_write_only_through_the_output_stage():
+    # no cmd_* function of cli.py calls an io writer or _write_boxes itself:
+    # each names its files to _write_outputs, which checks the whole set first
+    package = Path(stgl.__file__).parent
+    writers = {name for name in vars(stgl.io)
+               if name.startswith(("save_", "write_", "atomic_"))}
+    tree = ast.parse((package / "cli.py").read_text())
+    direct = []
+    for command in tree.body:
+        if not (isinstance(command, ast.FunctionDef)
+                and command.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(command):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "_write_boxes") or (
+                    isinstance(func, ast.Attribute) and func.attr in writers
+                    and isinstance(func.value, ast.Name) and func.value.id == "io"):
+                direct.append(f"{command.name}:{node.lineno}")
+    assert writers >= {"save_graph", "write_report", "atomic_file"}
+    assert direct == []
+
+
 def test_third_party_imports_are_declared():
     # each top-level module the package imports is stgl, ships with Python,
     # or comes from a distribution that pyproject.toml's dependencies name
