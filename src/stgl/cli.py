@@ -73,12 +73,14 @@ def _add_cluster_options(parser):
 
 
 def _check_counts(args):
-    """Reject a --k or --restarts below 1 or a --seed below 0, where the command
-    has that option, before any input is read or directory made."""
-    for flag, least in (("k", 1), ("restarts", 1), ("seed", 0)):
-        value = getattr(args, flag, least)
+    """Reject a --k, --restarts, --walkers or --j below 1, a --views below 2,
+    or a --seed or --gen-seed below 0, where the command has that option."""
+    for name, least in (("k", 1), ("restarts", 1), ("walkers", 1), ("j", 1),
+                        ("seed", 0), ("views", 2), ("gen_seed", 0)):
+        value = getattr(args, name, least)
         if value < least:
-            raise ValueError(f"--{flag} must be at least {least}, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be at least "
+                             f"{least}, got {value}")
 
 
 def _write_boxes(path, grid):
@@ -131,7 +133,6 @@ def cmd_generate(args):
 
 
 def cmd_cluster(args):
-    _check_counts(args)
     graph, labels, source = _load_input(args)
     out = _make_dir(args.out)
     start = time.perf_counter()
@@ -157,7 +158,6 @@ def cmd_cluster(args):
 
 
 def cmd_baseline(args):
-    _check_counts(args)
     graph, labels, source = _load_input(args)
     a_grid = [float(v) for v in args.a_grid.split(",") if v.strip()]
     if not a_grid:
@@ -224,9 +224,6 @@ def cmd_spectrum(args):
 
 
 def cmd_gyre(args):
-    _check_counts(args)
-    if args.views < 2:
-        raise ValueError(f"--views must be at least 2, got {args.views}")
     out = _make_dir(args.out)
     grid = gyre_mod.UlamGrid()
     params = gyre_mod.GyreParams()
@@ -258,7 +255,6 @@ def cmd_gyre(args):
 
 
 def cmd_walk(args):
-    _check_counts(args)
     graph, _, source = _load_input(args)
     vertices = sorted(int(v) for v in args.vertices.split(",") if v.strip())
     if not vertices:
@@ -349,6 +345,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)  # before any input is read or directory made
         return args.func(args)
     except (StglError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)

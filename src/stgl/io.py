@@ -13,15 +13,17 @@ whatever the edge count.
 ``load_graph`` reads the file as bytes and takes one of two routes, chosen
 by the bytes alone. A file that starts with exactly the bytes ``save_graph``
 writes before the first edge record (``_SAVED_PREFIX``) and holds no string
-in its ``edges`` array has that array parsed by orjson ``READ_SLICE_BYTES``
-at a time, each slice cut between two records and turned into columns
-before the next is parsed; one ``json.loads`` parses every other member, in
-the document with that array emptied. Any other layout, and any file in
-which that route finds anything amiss, is parsed whole by ``json.load``, so
-every file gives the graph and the error the ``json`` route gives. The
-sliced route holds the file's bytes, one slice of parsed records and the
-edge columns (32 bytes a record), where the ``json`` route holds every
-record as Python objects (about 200 bytes a record).
+in its ``edges`` array is read ``READ_SLICE_BYTES`` at a time into one
+buffer, and the whole records read so far are parsed by orjson and turned
+into columns before the next read; one ``json.loads`` parses every other
+member, in the document with that array emptied. Any other layout, and any
+file in which that route finds anything amiss, is parsed whole by
+``json.load``, so every file gives the graph and the error the ``json``
+route gives. The sliced route holds one read buffer, one run of parsed
+records and the edge columns (32 bytes a record), where the ``json`` route
+holds every record as Python objects (about 200 bytes a record). Either way
+the records are then ordered and deduplicated on one int64 key, which also
+gives back each record's view and vertices.
 
 Every writer goes through one atomic handle, ``atomic_file``: a temp file
 in the destination directory, created with the mode ``open(path, "w")``
@@ -62,14 +64,19 @@ MAX_SYSTEM_SIZE = 2**31 - 1
 # threshold, so its text is carved from the heap instead of mapped afresh.
 WRITE_ROW_CHUNK = 1024
 
-# Bytes of the edges array parsed per orjson call by ``load_graph``; each
-# slice's records become columns before the next slice is parsed.
+# Bytes read from a graph file per ``readinto`` by ``load_graph``; the whole
+# records among them become columns before the next read.
 READ_SLICE_BYTES = 512 * 1024
 
-# The members save_graph writes before the edge records, from byte 0 on
+# The members save_graph writes before the edge records, from byte 0 on, and
+# their length with an 11-character M, which holds every M from -2³¹ to the
+# header check's largest, 2³¹ - 1; the first read takes that many bytes more,
+# and a file with a longer M is left to the json route
 _SAVED_PREFIX = re.compile(
     rb'\{\n  "M": -?(?:0|[1-9][0-9]*),\n  "directed": (?:true|false),\n  "edges": \[')
-_RECORD_BREAK = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
+_PREFIX_BYTES = len(b'{\n  "M": -2147483648,\n  "directed": false,\n  "edges": [')
+# the last break between two records: the greedy .* backtracks from the end
+_LAST_BREAK = re.compile(rb"(?s:.*)(\])[ \t\n\r]*,[ \t\n\r]*\[")
 
 
 def check_output_file(path):
@@ -193,11 +200,28 @@ def _reject_first(bad, message):
         raise GraphFormatError(message(bad.argmax()))
 
 
-def _edge_order(t, i, j, n):
-    """``np.lexsort((j, i, t))`` for t in [1, M] and i, j in [0, n): one stable
-    sort of the key (t n + i) n + j. The header check keeps M n at most
-    ``MAX_SYSTEM_SIZE``, so every key is below (M + 1) n² <= 2 (2³¹ - 1)² < 2⁶³."""
-    return np.argsort((t * n + i) * n + j, kind="stable")
+def _edge_order(columns, n):
+    """The order ``np.lexsort((j, i, t))`` of the records whose t, i, j columns
+    lead the list ``columns``, for t in [1, M] and i, j in [0, n), the sorted
+    key (t n + i) n + j and the mask of the sorted records whose key differs
+    from the one before. The three columns leave the list as soon as the key
+    holds them, and one stable sort of the key orders the records. The header
+    check keeps M n at most ``MAX_SYSTEM_SIZE``, so every key is below
+    (M + 1) n² <= 2 (2³¹ - 1)² < 2⁶³."""
+    t, i, j = columns[:3]
+    del columns[:3]
+    key = (t * n + i) * n + j
+    del t, i, j
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return order, key, new
+
+
+def _edge_run(buf, start, end):
+    """The columns of the records in ``buf[start:end]``, a run of whole ones."""
+    return _edge_columns(orjson.loads(b"".join((b"[", memoryview(buf)[start:end], b"]"))))
 
 
 def _sliced_document(path):
@@ -205,39 +229,51 @@ def _sliced_document(path):
     with ``edges`` already the tuple of t, i, j, w columns; None where the
     file has another layout or the ``json`` route might give another result.
 
-    With no string in the edges array, the first ``"`` after it opens the
-    next member. ``json`` parses the document with the array emptied, so a
-    later ``edges`` key, or an escape that may spell one, is left to the
-    ``json`` route. Each slice is a run of records, so once each slice parses
+    The file is read ``READ_SLICE_BYTES`` at a time into one buffer, and the
+    whole records read so far are parsed as one run, cut at the last break
+    between two records. With no string in the edges array, the first ``"``
+    after it opens the next member, so the array ends at the last ``]``
+    before it; only the bytes from there on are kept. ``json`` parses the
+    document with the array emptied, so a later ``edges`` key, or an escape
+    that may spell one, is left to the ``json`` route. Once each run parses
     to flat number records, the whole array is their concatenation.
     """
+    pieces = []
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
-        head = _SAVED_PREFIX.match(data)
-        if head is None:
-            return None
-        start = head.end()
-        quote = data.find(b'"', start)
-        close = data.rfind(b"]", start, quote)
-        if quote < 0 or close < 0 or data.find(b'"edges"', close) >= 0 \
-                or data.find(b"\\", close) >= 0:
+            buf = bytearray(2 * READ_SLICE_BYTES + _PREFIX_BYTES)
+            size = handle.readinto(memoryview(buf)[:READ_SLICE_BYTES + _PREFIX_BYTES])
+            head = _SAVED_PREFIX.match(buf, 0, size)
+            if head is None:
+                return None
+            prefix, start = bytes(buf[:head.end()]), head.end()
+            while (quote := buf.find(b'"', start, size)) < 0:
+                last = _LAST_BREAK.match(buf, start, size)
+                if last is not None:
+                    pieces.append(_edge_run(buf, start, last.end(1)))
+                    start = last.end() - 1
+                # the unparsed bytes move to the front; a record longer than
+                # a read grows the buffer
+                size -= start
+                buf[:size] = buf[start:start + size]
+                buf += bytes(max(size + READ_SLICE_BYTES - len(buf), 0))
+                read = handle.readinto(memoryview(buf)[size:size + READ_SLICE_BYTES])
+                if not read:
+                    return None
+                size, start = size + read, 0
+            close = buf.rfind(b"]", start, quote)
+            if close < 0:
+                return None
+            pieces.append(_edge_run(buf, start, close))
+            tail = buf[close:size] + handle.read()
+        if tail.find(b'"edges"') >= 0 or tail.find(b"\\") >= 0:
             return None
         # strict decoding: json.loads on bytes would pass a lone surrogate
-        doc = json.loads((data[:start] + data[close:]).decode("utf-8"))
-        view, pieces = memoryview(data), []
-        while True:
-            cut = _RECORD_BREAK.search(data, start + READ_SLICE_BYTES, close)
-            end = close if cut is None else cut.start() + 1
-            records = orjson.loads(b"".join((b"[", view[start:end], b"]")))
-            pieces.append(_edge_columns(records))
-            if cut is None:
-                break
-            start = cut.end() - 1
+        doc = json.loads((prefix + tail).decode("utf-8"))
     except (OSError, ValueError, RecursionError, GraphFormatError):
         return None  # the json route gives the error, or the graph
-    del view, data, records
-    doc["edges"] = tuple(map(np.concatenate, zip(*pieces)))
+    pieces = list(zip(*pieces))  # each column's runs, joined and dropped in turn
+    doc["edges"] = tuple(np.concatenate(pieces.pop(0)) for _ in range(4))
     return doc
 
 
@@ -270,7 +306,8 @@ def load_graph(path):
             raise GraphFormatError(f"n = {n} vertices over M = {M} views exceed "
                                    f"the system size limit of {MAX_SYSTEM_SIZE}")
         # the sliced route has built the columns already; json gives no tuple
-        t, i, j, w = edges if type(edges) is tuple else _edge_columns(edges)
+        t, i, j, w = columns = list(edges if type(edges) is tuple
+                                    else _edge_columns(edges))
         del doc["edges"], edges  # else the first pass after would traverse them
     finally:
         if collecting:
@@ -281,18 +318,25 @@ def load_graph(path):
                   lambda k: f"vertex pair ({i[k]}, {j[k]}) out of range [0, {n})")
     _reject_first(~((w > 0) & (w < math.inf)), lambda k: "edge weight must be "
                   f"positive and finite, got {float(w[k])}")
-    if not directed:
-        off = i != j
-        t, i, j, w = (np.concatenate([a, b[off]])
-                      for a, b in ((t, t), (i, j), (j, i), (w, w)))
-    order = _edge_order(t, i, j, n)
-    t, i, j, w = t[order], i[order], j[order], w[order]
-    # t[0] >= 1, so the first record always starts a new (t, i, j) key
-    new = np.diff(np.stack([t, i, j]), axis=1, prepend=0).any(axis=0)
-    _reject_first(~new & (w != np.r_[w[:1], w[:-1]]), lambda k: "conflicting "
-                  f"duplicate edge {(int(i[k]), int(j[k]))} at view {t[k]}")
-    t, i, j, w = t[new], i[new], j[new], w[new]
-    cuts = np.searchsorted(t, np.arange(1, M + 2))
+    del t, i, j, w  # the list alone holds the columns: each is freed once used
+    if not directed:  # each off-diagonal record again, as (t, j, i, w)
+        off = columns[1] != columns[2]
+        for c, extra in enumerate([columns[k][off] for k in (0, 2, 1, 3)]):
+            columns[c] = np.concatenate([columns[c], extra])
+    order, key, new = _edge_order(columns, n)
+    w = columns.pop()[order]
+    del order
+    if not new.all():  # each repeat must carry the weight of the record before
+        repeat = ~new
+        repeat[1:] &= w[1:] != w[:-1]
+        _reject_first(repeat, lambda k: "conflicting duplicate edge {} at view {}".format(
+            (int(key[k] // n % n), int(key[k] % n)), key[k] // n // n))
+        key, w = key[new], w[new]
+    # the sorted key holds each record's t, i and j; view t's keys start at t n²
+    cuts = np.searchsorted(key, np.arange(1, M + 2) * n * n)
+    i, j = np.divmod(key, n)  # t n + i, and j
+    i %= n
+    del key
     snapshots = tuple(sparse.coo_array((w[a:b], (i[a:b], j[a:b])), shape=(n, n))
                       .tocsr() for a, b in itertools.pairwise(cuts))
     graph = TimeEvolvingGraph(n=n, M=M, snapshots=snapshots, directed=directed)

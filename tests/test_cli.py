@@ -505,8 +505,8 @@ class TestGyre:
 
 
 class TestCountOptions:
-    """--k and --restarts below 1, and --seed below 0, are rejected before any
-    input is read or directory made."""
+    """--k, --restarts, --walkers and --j below 1, and --seed and --gen-seed
+    below 0, are rejected before any input is read or directory made."""
 
     COMMANDS = {
         "cluster": ["cluster", "--generator", "planted"],
@@ -547,6 +547,32 @@ class TestCountOptions:
                 "--seed", "-1"]
         self.assert_rejected_up_front(monkeypatch, capsys, argv, tmp_path / "out",
                                       "--seed must be at least 0, got -1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "benchmark1", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["generate", "linegraph", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["cluster", "--generator", "benchmark1", "--gen-seed", "-1", "--k", "3"],
+         "--gen-seed must be at least 0, got -1"),
+        (["baseline", "--generator", "planted", "--gen-seed", "-2", "--k", "2",
+          "--a-grid", "0.5"], "--gen-seed must be at least 0, got -2"),
+        (["spectrum", "--generator", "planted", "--gen-seed", "-1"],
+         "--gen-seed must be at least 0, got -1"),
+        (["gyre", "--gen-seed", "-1", "--views", "2"],
+         "--gen-seed must be at least 0, got -1"),
+        (["walk", "--generator", "linegraph", "--vertices", "4,5", "--gen-seed", "-1"],
+         "--gen-seed must be at least 0, got -1"),
+        (["walk", "--generator", "linegraph", "--vertices", "4,5", "--walkers", "0"],
+         "--walkers must be at least 1, got 0"),
+        (["spectrum", "--generator", "planted", "--j", "0"], "--j must be at least 1, got 0"),
+        (["spectrum", "--generator", "planted", "--j", "-4"],
+         "--j must be at least 1, got -4"),
+    ], ids=["generate-seed", "generate-linegraph-seed", "cluster-gen-seed",
+            "baseline-gen-seed", "spectrum-gen-seed", "gyre-gen-seed", "walk-gen-seed",
+            "walkers", "j-0", "j-negative"])
+    def test_every_command_rejects_up_front(self, tmp_path, monkeypatch, capsys, argv,
+                                            message):
+        self.assert_rejected_up_front(monkeypatch, capsys, argv, tmp_path / "out",
+                                      message)
 
 
 class TestWalk:

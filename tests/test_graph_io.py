@@ -22,7 +22,7 @@ from stgl.io import (_edge_order, atomic_write_text, save_eigenvectors_csv,
                      save_labels_csv, save_spectrum_csv, write_csv, write_report)
 
 from util import (CORRUPTIONS, corrupt, random_teg, reference_graph_payload,
-                  reference_load_graph)
+                  reference_load_graph, reference_new_records)
 
 
 class TestTimeEvolvingGraph:
@@ -420,9 +420,11 @@ class TestSlicedRoute:
     @pytest.mark.parametrize("bad", ["1.0, 0, 1, 1.0", "1, 0, 1, NaN", "1, 0, 9, 1.0",
                                      f"{2**64 + 1}, 0, 1, 1.0",
                                      '1, 0, 1, "x"', "1, 0, 1", "1, 0, [1], 1.0"])
-    def test_slice_cut_next_to_a_bad_record(self, tmp_path, monkeypatch, chunk, bad):
-        # records are about 60 bytes apart: a cut falls on each side of every
-        # record at chunk 1, and beside some of them at the larger chunks
+    def test_slice_cut_next_to_a_bad_record(self, tmp_path, monkeypatch,
+                                            json_load_calls, chunk, bad):
+        # records are about 60 bytes apart, and the first read also covers the
+        # members before them: a cut falls on each side of every record at
+        # chunk 1, and beside some of them at the larger chunks
         monkeypatch.setattr(stgl_io, "READ_SLICE_BYTES", chunk)
         doc = reference_graph_payload(random_teg(3, n_max=8, M_max=2))
         path = tmp_path / "g.json"
@@ -433,12 +435,15 @@ class TestSlicedRoute:
             path.write_text(text.replace('"bad"', f"[{bad}]"))
             assert isinstance(self.assert_json_route_outcome(path, monkeypatch), str)
         path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        assert_same_load(self.assert_json_route_outcome(path, monkeypatch),
-                         reference_load_graph(path))
+        json_load_calls.clear()
+        got = self.assert_json_route_outcome(path, monkeypatch)
+        assert len(json_load_calls) == 1  # the json route's outcome alone
+        assert_same_load(got, reference_load_graph(path))
 
     def test_peak_below_the_json_route(self, tmp_path):
         # the json route holds every record as Python objects, the sliced
-        # route the bytes and the columns (30.6 MB against 48.0 MB, numpy 2.4);
+        # route one read buffer, one run of records and the columns (10.4 MB
+        # against 48.0 MB, numpy 2.4; 30.6 MB when the file was held whole);
         # a leading space sends the same document to the json route
         path, spaced = tmp_path / "b2.json", tmp_path / "spaced.json"
         save_graph(path, *gen_benchmark2(0))
@@ -451,21 +456,36 @@ class TestSlicedRoute:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 0.75 * peaks[1]
+        assert peaks[0] < 0.45 * peaks[1]
 
 
 class TestEdgeOrder:
-    """The loader's one-key sort orders records exactly as ``np.lexsort``."""
+    """The loader's one-key sort orders records exactly as ``np.lexsort``, and
+    its dedup mask is bitwise the mask of the stacked column differences."""
+
+    @staticmethod
+    def check(columns, n):
+        """Whether ``_edge_order``'s order equals the lexsort of the t, i, j
+        columns that lead ``columns``, whether its sorted key gives back their
+        sorted values, and whether its mask equals ``reference_new_records``."""
+        t, i, j = columns[:3]
+        order, key, new = returned = _edge_order(columns, n)
+        lexsorted = np.lexsort((j, i, t))
+        t, i, j = t[lexsorted], i[lexsorted], j[lexsorted]
+        want = reference_new_records(t, i, j)
+        return (np.array_equal(order, lexsorted),
+                all(map(np.array_equal, (key // n // n, key // n % n, key % n), (t, i, j))),
+                new.dtype == want.dtype and np.array_equal(new, want)), returned
 
     @pytest.fixture()
     def checked(self, monkeypatch):
-        """Each ``_edge_order`` result of a load, compared with the lexsort."""
+        """Each ``check`` of an ``_edge_order`` call of a load."""
         results = []
 
-        def checking(t, i, j, n):
-            order = _edge_order(t, i, j, n)
-            results.append(np.array_equal(order, np.lexsort((j, i, t))))
-            return order
+        def checking(columns, n):
+            result, returned = self.check(columns, n)
+            results.append(result)
+            return returned
 
         monkeypatch.setattr("stgl.io._edge_order", checking)
         return results
@@ -488,7 +508,32 @@ class TestEdgeOrder:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         assert_same_load(load_graph(path), reference_load_graph(path))
-        assert checked == [True]
+        assert checked == [(True, True, True)]
+
+    @pytest.mark.parametrize("conflict", [False, True], ids=["repeats", "conflict"])
+    @pytest.mark.parametrize("seed", range(6))  # seeds 2, 3 and 5 are undirected
+    def test_dedup_mask_like_reference(self, tmp_path, checked, seed, conflict):
+        graph = random_teg(seed, n_max=30)
+        doc = reference_graph_payload(graph)
+        edges = doc["edges"]
+        rng = np.random.default_rng(seed)
+        # records repeated up to three times, an undirected one also mirrored,
+        # and with one repeat's weight changed where the records conflict
+        repeats = [[t, j, i, w] if not graph.directed and rng.random() < 0.5
+                   else [t, i, j, w] for t, i, j, w in edges
+                   for _ in range(rng.integers(0, 4))]
+        if conflict:
+            repeats[len(repeats) // 2][3] += 1.0
+        doc["edges"] = [(edges + repeats)[k]
+                        for k in rng.permutation(len(edges) + len(repeats))]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        got, want = (_load_or_none(loader, path)
+                     for loader in (load_graph, reference_load_graph))
+        assert (got is None) is (want is None) is conflict
+        if got is not None:
+            assert_same_load(got, want)
+        assert checked == [(True, True, True)]
 
     @pytest.mark.parametrize("M", [1, 3])
     def test_exact_where_the_key_would_overflow(self, tmp_path, M):
@@ -511,8 +556,7 @@ class TestEdgeOrder:
                          rng.choice(extremes, 4000)) for _ in range(2))
         t[:2], i[:2], j[:2] = M, n - 1, [n - 1, n - 2]
         assert int(((t * n + i) * n + j).max()) == (M + 1) * n * n - 1 < 2**63
-        np.testing.assert_array_equal(_edge_order(t, i, j, n),
-                                      np.lexsort((j, i, t)))
+        assert self.check([t, i, j], n)[0] == (True, True, True)
 
 
 def _graph_with_empty_view(seed):

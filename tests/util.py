@@ -289,6 +289,13 @@ def reference_load_graph(path):
     return graph, labels
 
 
+def reference_new_records(t, i, j):
+    """The loader's dedup mask of records sorted by (t, i, j), from the stacked
+    differences of the three columns: True where a record's (t, i, j) differs
+    from the record before, and at the first record, since t >= 1."""
+    return np.diff(np.stack([t, i, j]), axis=1, prepend=0).any(axis=0)
+
+
 def reference_graph_payload(graph, labels=None):
     """The graph file's JSON document, built record by record from each
     view's COO entries (undirected edges once, i <= j)."""
