@@ -3,7 +3,7 @@
 Subcommands: generate, cluster, baseline, spectrum, gyre, walk. All
 commands write plot-ready CSV/JSON artifacts; images are out of scope.
 Exit codes: 0 success, 2 configuration error, 3 input format error,
-4 numerical failure, 5 insufficient eigenvectors.
+4 numerical failure, 5 insufficient eigenvectors, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ ERROR_CODES = (
     ((GraphFormatError, FileNotFoundError), 3),
     (ValueError, 2),
     (StglError, 4),  # ConvergenceFailure, DensityVanished, StepTooLarge, ...
+    (MemoryError, 6),
 )
 
 
@@ -255,10 +256,13 @@ def cmd_gyre(args):
 
 
 def cmd_walk(args):
-    graph, _, source = _load_input(args)
     vertices = sorted(int(v) for v in args.vertices.split(",") if v.strip())
     if not vertices:
         raise ValueError("--vertices must list at least one vertex")
+    for v, w in zip(vertices, vertices[1:]):
+        if v == w:
+            raise ValueError(f"--vertices lists {v} more than once")
+    graph, _, source = _load_input(args)
     out = _make_dir(args.out)
     ops = propagate_densities(graph, self_loops=not args.no_self_loops)
     starts = [vertices[i % len(vertices)] for i in range(args.walkers)]
@@ -347,8 +351,9 @@ def main(argv=None):
     try:
         _check_counts(args)  # before any input is read or directory made
         return args.func(args)
-    except (StglError, ValueError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (StglError, ValueError, FileNotFoundError, MemoryError) as err:
+        # a MemoryError raised by the interpreter itself has no text
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return next(code for types, code in ERROR_CODES if isinstance(err, types))
 
 

@@ -60,10 +60,6 @@ class TimeEvolvingGraph:
         n = matrices[0].shape[0]
         return cls(n=n, M=len(matrices), snapshots=tuple(matrices), directed=directed)
 
-    def dense(self, t):
-        """Snapshot of view t (1-based) as a dense array."""
-        return self.snapshots[t - 1].toarray()
-
     def with_self_loops(self):
         """Copy of the graph with 1 added to every diagonal entry.
 

@@ -1,10 +1,11 @@
 """The spatio-temporal graph Laplacian: assembly, eigenproblem, eigenvector tags.
 
 The coupled system lives on M copies of the vertex set. It is stored as the
-M - 1 cross-covariances of adjacent views, the blocks of the symmetric
-block-tridiagonal matrix A, and the diagonal matrix B of (doubled interior)
-covariances. C = B^{-1} A is the row-stochastic matrix whose dominant
-eigenvectors carry the cluster structure. L = I - C.
+M - 1 cross-covariances of adjacent views, the blocks of the paper's
+symmetric block-tridiagonal matrix A, and the diagonal matrix B of (doubled
+interior) covariances. C = B^{-1} A is the row-stochastic matrix whose
+dominant eigenvectors carry the cluster structure, and L = I - C. Neither A
+nor C is formed: the solver reads the blocks of B^{-1/2} A B^{-1/2}.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class SpatioTemporalSystem:
 
     ``cross[t]`` is the n x n sparse cross-covariance D_{mu_t} S_t of views
     t and t + 1 (M - 1 blocks) and ``B_diag`` the positive diagonal of B.
-    A, with these blocks above its block diagonal and their transposes
-    below, and C are derived from them.
+    A has ``cross[t]`` in block (t, t + 1), its transpose in block
+    (t + 1, t) and zeros elsewhere; neither A nor C is formed.
     """
 
     n: int
@@ -61,25 +62,18 @@ class SpatioTemporalSystem:
     def size(self):
         return self.M * self.n
 
-    @property
-    def A(self):
-        """The Mn x Mn symmetric block-tridiagonal matrix of the cross blocks."""
-        blocks = [[None] * self.M for _ in range(self.M)]
-        for t, cross in enumerate(self.cross):
-            blocks[t][t + 1] = cross
-            blocks[t + 1][t] = cross.T
-        return sparse.csr_array(sparse.block_array(blocks, format="csr"))
-
-    @property
-    def C(self):
-        """The row-stochastic matrix B^{-1} A."""
-        return sparse.csr_array(sparse.diags_array(1.0 / self.B_diag) @ self.A)
-
     def symmetrized(self):
-        """B^{-1/2} A B^{-1/2}: symmetric, with the same spectrum as C."""
-        d = sparse.diags_array(1.0 / np.sqrt(self.B_diag))
-        H = sparse.csr_array(d @ self.A @ d)
-        return sparse.csr_array((H + H.T) * 0.5)
+        """B^{-1/2} A B^{-1/2} as a dense N x N array, written from the cross
+        blocks: symmetric, with the same spectrum as C."""
+        d = (1.0 / np.sqrt(self.B_diag)).reshape(self.M, self.n, 1)
+        H = np.zeros((self.size, self.size))
+        blocks = H.reshape(self.M, self.n, self.M, self.n)
+        for t, cross in enumerate(self.cross):
+            c, right = cross.toarray(), d[t + 1].T
+            # the mean of d_t c d_{t+1} in its two association orders
+            blocks[t, :, t + 1] = (d[t] * c * right + c * right * d[t]) / 2
+            blocks[t + 1, :, t] = blocks[t, :, t + 1].T
+        return H
 
     def coupling(self):
         """X, the even-view rows and odd-view columns of B^{-1/2} A B^{-1/2}.
@@ -300,7 +294,7 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     if not _solved_densely(N, j):
         spatial_vals, spatial_vecs = _coupling_eigenpairs(system, j, Q, T)
     else:
-        H = system.symmetrized().toarray()
+        H = system.symmetrized()
         # Q has one nonzero per row, so Q S Q^T is one outer product per
         # nonzero S[u, v], subtracted from the view block (u, v) in place
         S = T + 2.0 * np.eye(M)

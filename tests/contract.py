@@ -13,6 +13,11 @@ The two trees must then agree on
   JSON is compared only up to its ``timings`` section, of which just the
   keys must agree.
 
+Before the runs, ``write_inputs`` writes the ``LOADER_INPUTS`` graph files:
+the benchmark1, benchmark2 and planted files that OLD_SRC generates, edited
+as text so that they reach each route of the loader and its format errors.
+Both trees read the same bytes, each with ``cluster --input F --k 2``.
+
 Each tree also runs the ``SESSION`` commands twice through ``stgl.cli.main``
 in one interpreter (a library session); both calls must give the codes,
 streams and files of the tree's fresh runs.
@@ -35,6 +40,10 @@ from pathlib import Path
 
 GENERATORS = {"benchmark1": 3, "benchmark2": 4, "linegraph": 3, "planted": 2}
 SUBCOMMANDS = ("generate", "cluster", "baseline", "spectrum", "gyre", "walk")
+# graph files made by write_inputs, in ../../inputs from each tree's fresh runs
+LOADER_INPUTS = ("compact-benchmark1", "crlf-benchmark2", "truncated-benchmark2",
+                 "nan-weight", "string-in-edges", "conflicting-duplicate",
+                 "vertex-out-of-range", "labels-wrong-shape", "second-edges")
 
 
 def _runs():
@@ -54,6 +63,9 @@ def _runs():
     runs.append(("cluster-benchmark2-file",
                  ["cluster", "--input", "runs/generate-benchmark2/benchmark2.json",
                   "--k", "4", "--export-vectors"]))
+    for name in LOADER_INPUTS:
+        runs.append((f"cluster-{name}", ["cluster", "--input",
+                                         f"../../inputs/{name}.json", "--k", "2"]))
     runs.append(("spectrum-linegraph",
                  ["spectrum", "--generator", "linegraph", "--j", "24",
                   "--full-spectrum", "--export-vectors"]))
@@ -126,6 +138,49 @@ def _env(src):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
     return env
+
+
+def _set_field(text, k, value):
+    """``text``, in save_graph's layout, with field k of its first edge record
+    set to ``value``."""
+    start = text.index('"edges": [\n    [\n') + len('"edges": [\n    [\n')
+    end = text.index("\n    ]", start)
+    fields = text[start:end].split(",\n")
+    fields[k] = f"      {value}"
+    return text[:start] + ",\n".join(fields) + text[end:]
+
+
+def write_inputs(src, inputs):
+    """Write the ``LOADER_INPUTS`` files into the new directory ``inputs``,
+    made from the benchmark1, benchmark2 and planted files of the tree ``src``."""
+    texts = {}
+    for name in ("benchmark1", "benchmark2", "planted"):
+        subprocess.run([sys.executable, "-c", MAIN, "generate", name, "--out",
+                        str(inputs)], env=_env(src), capture_output=True,
+                       check=True, timeout=900)
+        texts[name] = (inputs / f"{name}.json").read_text()
+    bench1, bench2, planted = texts.values()
+    doc = json.loads(planted)
+    t, i, j, w = doc["edges"][0]
+    tail = planted.index(',\n  "n": ')
+    files = {
+        "compact-benchmark1": json.dumps(json.loads(bench1), separators=(",", ":")),
+        "crlf-benchmark2": bench2.replace("\n", "\r\n"),
+        # cut between two fields of a record, after several read slices
+        "truncated-benchmark2": bench2[:bench2.index(",\n      ", len(bench2) // 2) + 4],
+        "nan-weight": _set_field(planted, 3, "NaN"),
+        "string-in-edges": _set_field(planted, 1, '"0"'),
+        "conflicting-duplicate": planted.replace(
+            '"edges": [\n', f'"edges": [\n    [\n      {t},\n      {i},\n      {j},'
+            f'\n      {2 * w + 1}\n    ],\n', 1),
+        "vertex-out-of-range": _set_field(planted, 2, doc["n"]),
+        "labels-wrong-shape": planted[:planted.index('"labels": ')] + '"labels": '
+        + json.dumps(doc["labels"][:-1]) + planted[tail:],
+        "second-edges": planted[:tail] + ',\n  "edges": [[1, 0, 0, 1.0]]'
+        + planted[tail:],
+    }
+    for name in LOADER_INPUTS:
+        (inputs / f"{name}.json").write_bytes(files[name].encode())
 
 
 def run_tree(src, work):
@@ -222,6 +277,7 @@ def main(argv):
     start = time.perf_counter()
     srcs = [str(Path(p).resolve()) for p in argv]
     with tempfile.TemporaryDirectory(prefix="stgl-contract-") as tmp:
+        write_inputs(srcs[0], Path(tmp, "inputs"))
         works = [Path(tmp, "old"), Path(tmp, "new")]
         with ThreadPoolExecutor(max_workers=2) as pool:
             (old_fresh, old_sessions), (new_fresh, new_sessions) = pool.map(

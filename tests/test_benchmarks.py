@@ -44,7 +44,7 @@ class TestBenchmark2:
 
     def test_off_diagonal_blocks_dense(self):
         graph, _ = gen_benchmark2(seed=0)
-        W1 = graph.dense(1)
+        W1 = graph.snapshots[0].toarray()
         x_to_y = (W1[200:300, 300:400] > 0).mean()
         y_to_x = (W1[300:400, 200:300] > 0).mean()
         noise = (W1[0:100, 200:300] > 0).mean()
@@ -53,7 +53,7 @@ class TestBenchmark2:
 
     def test_split_removes_only_cross_edges(self):
         graph, _ = gen_benchmark2(seed=2)
-        W1, W10 = graph.dense(1), graph.dense(10)
+        W1, W10 = graph.snapshots[0].toarray(), graph.snapshots[9].toarray()
         cross1 = (W1[:100, 100:200] > 0).sum() + (W1[100:200, :100] > 0).sum()
         cross10 = (W10[:100, 100:200] > 0).sum() + (W10[100:200, :100] > 0).sum()
         assert cross10 < 0.02 * cross1
@@ -63,7 +63,7 @@ class TestBenchmark2:
 
     def test_edges_decay_monotonically(self):
         graph, _ = gen_benchmark2(seed=4)
-        counts = [(graph.dense(t)[:100, 100:200] > 0).sum() for t in range(1, 11)]
+        counts = [(W.toarray()[:100, 100:200] > 0).sum() for W in graph.snapshots]
         assert counts == sorted(counts, reverse=True)
 
     def test_positive_rows_after_regularization(self):
@@ -80,18 +80,17 @@ class TestLineGraph:
 
     def test_merging_edge_schedule(self):
         g = gen_line_graph()
-        weights = [g.dense(t)[1, 2] for t in range(1, 5)]
+        weights = [W.toarray()[1, 2] for W in g.snapshots]
         assert weights == [0.01, 0.1, 1.0, 1.0]
 
     def test_stable_weak_edge(self):
         g = gen_line_graph()
-        assert [g.dense(t)[3, 4] for t in range(1, 5)] == [0.01] * 4
+        assert [W.toarray()[3, 4] for W in g.snapshots] == [0.01] * 4
 
     def test_symmetric(self):
         g = gen_line_graph()
-        for t in range(1, 5):
-            W = g.dense(t)
-            np.testing.assert_array_equal(W, W.T)
+        for W in g.snapshots:
+            np.testing.assert_array_equal(W.toarray(), W.T.toarray())
 
 
 class TestPlantedPartition:
@@ -99,8 +98,8 @@ class TestPlantedPartition:
         membership = np.tile(np.repeat([0, 1], 10), (3, 1))
         g = gen_planted_partition(membership, 0.8, 0.0, seed=0)
         assert (g.n, g.M) == (20, 3)
-        for t in range(1, 4):
-            W = g.dense(t)
+        for W in g.snapshots:
+            W = W.toarray()
             assert np.all(W[:10, 10:] == 0.0)
             assert np.all(W[10:, :10] == 0.0)
 
@@ -108,7 +107,7 @@ class TestPlantedPartition:
         membership = np.tile(np.repeat([0, 1], 40), (2, 1))
         g = gen_planted_partition(membership, 0.4, 0.4, seed=1)
         # edge counts: the signal in question is which edges exist
-        degrees = (g.dense(1) > 0).sum(axis=1)
+        degrees = (g.snapshots[0].toarray() > 0).sum(axis=1)
         within, across = degrees[:40].mean(), degrees[40:].mean()
         se = degrees.std() / np.sqrt(40)
         assert abs(within - across) < 4 * se

@@ -566,9 +566,17 @@ class TestCountOptions:
         (["spectrum", "--generator", "planted", "--j", "0"], "--j must be at least 1, got 0"),
         (["spectrum", "--generator", "planted", "--j", "-4"],
          "--j must be at least 1, got -4"),
+        # a repeated start vertex would weight the walk toward it
+        (["walk", "--generator", "benchmark1", "--vertices", "0,0,0,299"],
+         "--vertices lists 0 more than once"),
+        (["walk", "--generator", "linegraph", "--vertices", "5,4,5"],
+         "--vertices lists 5 more than once"),
+        (["walk", "--generator", "linegraph", "--vertices", ","],
+         "--vertices must list at least one vertex"),
     ], ids=["generate-seed", "generate-linegraph-seed", "cluster-gen-seed",
             "baseline-gen-seed", "spectrum-gen-seed", "gyre-gen-seed", "walk-gen-seed",
-            "walkers", "j-0", "j-negative"])
+            "walkers", "j-0", "j-negative", "vertices-repeated", "vertices-unsorted",
+            "vertices-empty"])
     def test_every_command_rejects_up_front(self, tmp_path, monkeypatch, capsys, argv,
                                             message):
         self.assert_rejected_up_front(monkeypatch, capsys, argv, tmp_path / "out",
@@ -595,6 +603,26 @@ class TestWalk:
         code = run(["walk", "--input", str(linegraph_file), "--vertices", " ",
                     "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError, "MemoryError"),
+        (MemoryError("Unable to allocate 7.45 GiB for an array with shape "
+                     "(1000000001,) and data type int64"),
+         "Unable to allocate 7.45 GiB for an array with shape (1000000001,) "
+         "and data type int64"),
+    ], ids=["no-text", "numpy-text"])
+    def test_exit_6_with_one_error_line(self, tmp_path, monkeypatch, capsys, error,
+                                        message):
+        def load_graph(path):
+            raise error
+
+        monkeypatch.setattr(cli.io, "load_graph", load_graph)
+        out = tmp_path / "out"
+        assert run(["cluster", "--input", "g.json", "--k", "2", "--out", str(out)]) == 6
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestCorruptedInput:

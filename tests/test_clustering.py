@@ -124,6 +124,35 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValueError, match="at least one k-means restart, got 0"):
+            kmeans(np.zeros((4, 2)), 2, restarts=0)
+
+    def test_identical_rows(self):
+        # k-means++ finds no spread to weight its draws by, and every
+        # cluster but the first comes out empty and is repaired
+        res = kmeans(np.full((6, 2), 0.25), 3, seed=2, restarts=2)
+        assert np.array_equal(res.labels, np.zeros((1, 6), dtype=int))
+        assert res.inertia == 0.0
+
+    def test_stops_after_lloyd_max_iter(self, monkeypatch):
+        pts = np.random.default_rng(7).standard_normal((60, 2))
+        real = clustering._assign
+        results = []
+
+        def record(points, centroids):
+            results.append(real(points, centroids))
+            return results[-1]
+
+        monkeypatch.setattr(clustering, "_assign", record)
+        _lloyd(pts, 4, np.random.default_rng(3))
+        assert len(results) > 2  # unconverged after one update
+        results.clear()
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
+        labels, inertia = _lloyd(pts, 4, np.random.default_rng(3))
+        assert len(results) == 2  # the seeding's assignment and one update
+        assert np.array_equal(labels, results[1][0]) and inertia == results[1][1]
+
     def test_view_count_checked_before_any_restart(self, monkeypatch):
         runs = []
         real = clustering._lloyd

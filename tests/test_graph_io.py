@@ -49,10 +49,19 @@ class TestTimeEvolvingGraph:
         with pytest.raises(GraphFormatError):
             TimeEvolvingGraph.from_dense([np.eye(2)])
 
+    @pytest.mark.parametrize("n, M, message", [
+        (0, 2, "vertex count must be positive"),
+        (2, 3, "expected 3 snapshots, got 2"),
+    ], ids=["no-vertices", "snapshot-count"])
+    def test_header_disagreeing_with_snapshots_rejected(self, n, M, message):
+        with pytest.raises(GraphFormatError, match=message):
+            TimeEvolvingGraph(n=n, M=M, snapshots=(np.eye(2), np.eye(2)))
+
     def test_self_loops_added(self):
         g = gen_line_graph()
         looped = g.with_self_loops()
-        np.testing.assert_allclose(looped.dense(1) - g.dense(1), np.eye(6))
+        np.testing.assert_allclose((looped.snapshots[0] - g.snapshots[0]).toarray(),
+                                   np.eye(6))
 
     def test_edge_arrays_undirected_once(self):
         g = gen_line_graph()
@@ -69,8 +78,8 @@ class TestGraphFiles:
         save_graph(path, g, labels)
         g2, labels2 = load_graph(path)
         assert g2.n == g.n and g2.M == g.M and g2.directed == g.directed
-        for t in range(1, g.M + 1):
-            np.testing.assert_allclose(g2.dense(t), g.dense(t), atol=0)
+        for W2, W in zip(g2.snapshots, g.snapshots, strict=True):
+            np.testing.assert_allclose(W2.toarray(), W.toarray(), atol=0)
         assert np.array_equal(labels2, labels)
 
     def test_round_trip_directed(self, tmp_path):
@@ -82,7 +91,8 @@ class TestGraphFiles:
         save_graph(path, g)
         g2, labels = load_graph(path)
         assert labels is None
-        np.testing.assert_allclose(g2.dense(2), g.dense(2), atol=0)
+        np.testing.assert_allclose(g2.snapshots[1].toarray(), g.snapshots[1].toarray(),
+                                   atol=0)
 
     def test_save_is_deterministic(self, tmp_path):
         g, labels = static_blocks(n=10, blocks=2, M=2, seed=5)
@@ -155,12 +165,21 @@ class TestGraphFiles:
                     with pytest.raises(GraphFormatError, match="system size"):
                         loader(path)
 
+    @pytest.mark.parametrize("labels", [np.zeros((3, 2)), np.zeros(6), np.zeros((2, 2))],
+                             ids=["transposed", "flat", "too-few-vertices"])
+    def test_labels_of_the_wrong_shape_not_saved(self, tmp_path, labels):
+        g = TimeEvolvingGraph.from_dense([np.eye(3), np.eye(3)])
+        path = tmp_path / "g.json"
+        with pytest.raises(ValueError, match=r"labels must be \(2, 3\)"):
+            save_graph(path, g, labels)
+        assert not path.exists()
+
     def test_undirected_mirrored(self, tmp_path):
         path = tmp_path / "u.json"
         path.write_text(json.dumps({"n": 2, "M": 2, "directed": False,
                                     "edges": [[1, 0, 1, 2.5], [2, 0, 1, 1.0]]}))
         g, _ = load_graph(path)
-        np.testing.assert_allclose(g.dense(1), [[0.0, 2.5], [2.5, 0.0]])
+        np.testing.assert_allclose(g.snapshots[0].toarray(), [[0.0, 2.5], [2.5, 0.0]])
 
 
 def _load_or_none(loader, path):
@@ -399,9 +418,13 @@ class TestSlicedRoute:
          "in position 353: invalid continuation byte"),
         (lambda text: text.replace('\n  "n": 3', '\n  "\\u0065dges": [[2, 1, 1, 4.0]],'
                                    '\n  "n": 3'), "json", None),
+        (lambda text: text.replace('"labels": [\n    [\n      0,',
+                                   f'"labels": [\n    [\n      {2**63},'), "sliced",
+         "labels must be integers: Python int too large to convert to C long"),
     ], ids=["crlf", "bom", "trailing-comma", "second-edges", "no-edges",
             "weight-2**64+1", "weight-1e400", "weight-NaN", "weight-long-0.1",
-            "view-1.0", "view--0", "view-01", "lone-surrogate", "escaped-edges"])
+            "view-1.0", "view--0", "view-01", "lone-surrogate", "escaped-edges",
+            "label-2**63"])
     def test_pinned_cases(self, tmp_path, monkeypatch, json_load_calls, edit, route,
                           message):
         path = tmp_path / "g.json"

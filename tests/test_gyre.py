@@ -81,6 +81,9 @@ class TestVelocity:
             GyreParams(amplitude=0.0)
         with pytest.raises(ValueError):
             GyreParams(epsilon=0.5)
+        for dims in ({"nx": 0}, {"ny": 0}, {"particles_per_box": 0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                UlamGrid(**dims)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("make", [
@@ -121,6 +124,11 @@ class TestIntegrateRK4:
     def test_step_must_divide_interval(self):
         with pytest.raises(ValueError):
             integrate_rk4(np.zeros((1, 2)), 0.0, 1.0, 0.3, GyreParams())
+
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            integrate_rk4(np.zeros((1, 2)), 0.0, 1.0, h, GyreParams())
 
     def test_step_too_large_detected(self):
         with pytest.raises(StepTooLarge):

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -5,17 +6,18 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from stgl import (ConvergenceFailure, TimeEvolvingGraph, adjusted_rand_index,
-                  assemble_system, eigendecompose, gen_benchmark1,
-                  gen_benchmark2, kmeans, laplacian, propagate_densities,
-                  select_spatial, spectral_cluster, static_blocks)
+from stgl import (ConvergenceFailure, TimeEvolvingGraph, ZeroOutDegree,
+                  adjusted_rand_index, assemble_system, eigendecompose,
+                  gen_benchmark1, gen_benchmark2, gen_line_graph, kmeans,
+                  laplacian, propagate_densities, select_spatial,
+                  spectral_cluster, static_blocks)
 from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import classify_folded
 
 from util import (arpack_two_converged, build_system, clique_coupling_graph,
                   random_teg, rank_one_coupling_graph, reference_coupling,
                   reference_eigendecompose, reference_symmetrized,
-                  transfer_operator_C)
+                  sparse_symmetrized, system_A, system_C, transfer_operator_C)
 
 
 @pytest.fixture()
@@ -36,7 +38,7 @@ class TestAssembly:
     def test_single_vertex_two_views(self):
         g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2, directed=True)
         system = build_system(g, self_loops=False)
-        np.testing.assert_array_equal(system.C.toarray(),
+        np.testing.assert_array_equal(system_C(system).toarray(),
                                       [[0.0, 1.0], [1.0, 0.0]])
 
     def test_two_views_no_halving(self):
@@ -47,7 +49,7 @@ class TestAssembly:
         K1 = ops.transitions[0].toarray()
         mu1, mu2 = ops.densities
         T1 = np.diag(1.0 / mu2) @ ops.transitions[0].toarray().T @ np.diag(mu1)
-        C = system.C.toarray()
+        C = system_C(system).toarray()
         n = g.n
         np.testing.assert_allclose(C[:n, n:], K1, atol=1e-14)
         np.testing.assert_allclose(C[n:, :n], T1, atol=1e-14)
@@ -61,20 +63,21 @@ class TestAssembly:
         ops = propagate_densities(g)
         system = assemble_system(ops)
         n = g.n
-        C = system.C.toarray()
+        C = system_C(system).toarray()
         K2 = ops.transitions[1].toarray()
         np.testing.assert_allclose(C[n:2 * n, 2 * n:3 * n], 0.5 * K2, atol=1e-14)
 
     def test_row_stochastic(self):
         for seed in range(20):
             system = build_system(random_teg(seed))
-            rows = np.asarray(system.C.sum(axis=1)).ravel()
+            rows = np.asarray(system_C(system).sum(axis=1)).ravel()
             np.testing.assert_allclose(rows, 1.0, atol=1e-12)
 
     def test_A_exactly_symmetric(self):
         for seed in range(10):
             system = build_system(random_teg(seed))
-            assert (system.A - system.A.T).count_nonzero() == 0
+            A = system_A(system)
+            assert (A - A.T).count_nonzero() == 0
 
     def test_B_positive_diagonal(self):
         system = build_system(random_teg(1))
@@ -84,7 +87,7 @@ class TestAssembly:
         g = random_teg(8, n_max=6, M_max=5)
         system = build_system(g)
         n, M = g.n, g.M
-        C = system.C.toarray()
+        C = system_C(system).toarray()
         for s in range(M):
             for t in range(M):
                 if abs(s - t) != 1:
@@ -99,7 +102,7 @@ class TestAssembly:
             ops = propagate_densities(g)
             system = assemble_system(ops)
             C_op = transfer_operator_C(ops).toarray()
-            diff = np.abs(system.C.toarray() - C_op)
+            diff = np.abs(system_C(system).toarray() - C_op)
             assert diff.max() <= 1e-12
 
 
@@ -123,8 +126,7 @@ class TestEigendecompose:
         for seed in range(10):
             system = build_system(random_teg(seed, n_max=10))
             H = system.symmetrized()
-            asym = abs(H - H.T)
-            assert asym.nnz == 0 or asym.data.max() <= 1e-12
+            assert np.abs(H - H.T).max() <= 1e-12
             emb = eigendecompose(system, min(6, system.size))
             assert np.all(emb.eigenvalues <= 1 + 1e-10)
             assert np.all(emb.eigenvalues >= -1e-10)
@@ -133,7 +135,7 @@ class TestEigendecompose:
         for seed in range(10):
             system = build_system(random_teg(seed, n_max=8, M_max=4))
             emb = eigendecompose(system, min(5, system.size))
-            C = system.C
+            C = system_C(system)
             for j, lam in enumerate(emb.eigenvalues):
                 v = emb.vectors[:, j]
                 resid = np.abs(C @ v - lam * v).max()
@@ -161,7 +163,7 @@ class TestEigendecompose:
             g = random_teg(int(rng.integers(1000)), n_max=6, M_max=4)
             system = build_system(g)
             emb = eigendecompose(system, min(4, system.size))
-            C = system.C
+            C = system_C(system)
             n, M = g.n, g.M
             signs = np.repeat([(-1.0) ** t for t in range(M)], n)
             j = int(rng.integers(len(emb)))
@@ -225,7 +227,7 @@ class TestEigendecompose:
         assert lanczos_calls == [system.n * (system.M // 2)]
         np.testing.assert_allclose(sparse_path.eigenvalues,
                                    dense.eigenvalues, atol=1e-8)
-        C = system.C
+        C = system_C(system)
         for j, lam in enumerate(sparse_path.eigenvalues):
             v = sparse_path.vectors[:, j]
             assert np.abs(C @ v - lam * v).max() <= 1e-8 * np.abs(v).max()
@@ -332,10 +334,50 @@ class TestTemporalDeflation:
         monkeypatch.setattr(laplacian, "symmetric_eigenpairs", spy)
         eigendecompose(system, 20)
         Q, T = system.temporal_basis()
-        H = system.symmetrized().toarray() - Q @ (T + 2.0 * np.eye(system.M)) @ Q.T
+        H = sparse_symmetrized(system).toarray()
+        H -= Q @ (T + 2.0 * np.eye(system.M)) @ Q.T
         (vals, vecs), = solved
         ref_vals, ref_vecs = real(H, 20)
         assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+@pytest.fixture(scope="module")
+def symmetrized_systems():
+    """Every system of random_teg seeds 0-59, the line graph and static_blocks
+    with M = 2, 3, 5 and 10, with and without self-loops, that propagates."""
+    graphs = ([random_teg(seed) for seed in range(60)] + [gen_line_graph()]
+              + [static_blocks(M=M)[0] for M in (2, 3, 5, 10)])
+    systems = []
+    for g in graphs:
+        for self_loops in (True, False):
+            with contextlib.suppress(ZeroOutDegree):
+                systems.append(build_system(g, self_loops=self_loops))
+    return systems
+
+
+class TestDenseSymmetrized:
+    def test_bitwise_equal_to_the_sparse_construction(self, symmetrized_systems):
+        # int64 views, so a -0.0 against a 0.0 counts as a difference
+        assert len(symmetrized_systems) == 116
+        for system in symmetrized_systems:
+            H = system.symmetrized()
+            assert H.dtype == np.float64 and H.shape == (system.size,) * 2
+            ref = sparse_symmetrized(system).toarray()
+            assert np.array_equal(H.view(np.int64), ref.view(np.int64))
+
+    def test_dense_branch_bitwise_equal_with_the_sparse_construction(
+            self, symmetrized_systems, monkeypatch):
+        systems = symmetrized_systems
+        assert max(system.size for system in systems) <= laplacian.DENSE_EIG_CUTOFF
+        ours = [eigendecompose(system, min(system.size, 12), full_spectrum=True)
+                for system in systems]
+        monkeypatch.setattr(laplacian.SpatioTemporalSystem, "symmetrized",
+                            lambda system: sparse_symmetrized(system).toarray())
+        for system, emb in zip(systems, ours):
+            ref = eigendecompose(system, min(system.size, 12), full_spectrum=True)
+            assert np.array_equal(emb.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(emb.vectors, ref.vectors)
+            assert emb.tags == ref.tags
 
 
 def even_views_first(system):
@@ -358,7 +400,7 @@ def assert_matches_reference(system, k, lanczos_calls):
               for emb in (ours, ref)]
     assert adjusted_rand_index(*labels) == 1.0
     V = ours.vectors
-    residual = np.abs(system.C @ V - V * ours.eigenvalues).max(axis=0)
+    residual = np.abs(system_C(system) @ V - V * ours.eigenvalues).max(axis=0)
     assert np.all(residual <= 1e-8 * np.abs(V).max(axis=0))
     gram = V.T @ (system.B_diag[:, None] * V)
     np.testing.assert_allclose(gram, np.eye(len(ours)), rtol=0, atol=1e-10)
@@ -369,7 +411,7 @@ class TestCouplingRoute:
         for seed in range(10):
             system = build_system(random_teg(seed, n_max=10))
             order = even_views_first(system)
-            H = system.symmetrized().toarray()[np.ix_(order, order)]
+            H = system.symmetrized()[np.ix_(order, order)]
             X = system.coupling().toarray()
             even = X.shape[0]
             assert X.shape == (system.n * ((system.M + 1) // 2),
@@ -477,7 +519,7 @@ class TestLaplacianSpectrum:
     def test_extremes(self):
         g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2, directed=True)
         system = build_system(g, self_loops=False)
-        spectrum = 1.0 - np.linalg.eigvalsh(system.symmetrized().toarray())
+        spectrum = 1.0 - np.linalg.eigvalsh(system.symmetrized())
         np.testing.assert_allclose(np.sort(spectrum), [0.0, 2.0], atol=1e-12)
 
 
@@ -500,14 +542,14 @@ class TestCouplingGraph:
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = TimeEvolvingGraph.from_dense([W, W], directed=True)
         ops = propagate_densities(g)
-        A = assemble_system(ops).A
+        A = system_A(assemble_system(ops))
         assert (A - A.T).count_nonzero() == 0
         # edge (v0 -> v1) at view 1 couples copy 0@1 with copy 1@2
         assert A[[0], [3]] > 0 and A[[3], [0]] > 0
 
     def test_no_intra_layer_edges(self):
         g = random_teg(4, n_max=6, M_max=4)
-        A = build_system(g).A.toarray()
+        A = system_A(build_system(g)).toarray()
         n = g.n
         for t in range(g.M):
             assert np.all(A[t * n:(t + 1) * n, t * n:(t + 1) * n] == 0.0)
@@ -515,7 +557,7 @@ class TestCouplingGraph:
     def test_edge_iff_transition_support(self):
         g = random_teg(9, n_max=6, M_max=3)
         ops = propagate_densities(g)
-        A = assemble_system(ops).A.toarray()
+        A = system_A(assemble_system(ops)).toarray()
         n = g.n
         for t in range(g.M - 1):
             S = ops.transitions[t].toarray()
@@ -523,9 +565,8 @@ class TestCouplingGraph:
             assert np.array_equal(block != 0, S != 0)
 
     def test_self_loops_couple_copies_across_views(self):
-        from stgl import gen_line_graph
         g = gen_line_graph()
-        A = build_system(g).A.toarray()
+        A = system_A(build_system(g)).toarray()
         n = g.n
         for t in range(g.M - 1):
             block = A[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n]

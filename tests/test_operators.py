@@ -103,6 +103,11 @@ class TestOperatorSequenceValidation:
                              densities=(np.array([0.25, 0.75]),
                                         np.array([0.25, 0.75])))
 
+    def test_rejects_missing_density(self):
+        with pytest.raises(ValueError, match="one density per view"):
+            OperatorSequence(transitions=(np.eye(2), np.eye(2)),
+                             densities=(np.array([0.5, 0.5]),))
+
     @pytest.mark.parametrize("S, mu", [
         (np.array([[np.nan, 1.0], [0.5, 0.5]]), np.array([0.5, 0.5])),
         (np.eye(2), np.array([np.nan, 0.5])),

@@ -28,7 +28,7 @@ class TestSymmetrize:
         g = TimeEvolvingGraph.from_dense([W, W], directed=True)
         sym = symmetrize(g)
         assert not sym.directed
-        np.testing.assert_allclose(sym.dense(1), [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(sym.snapshots[0].toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestBuildSupra:

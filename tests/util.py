@@ -115,6 +115,27 @@ def reference_symmetrized(graph):
     return d[:, None] * A * d[None, :], b
 
 
+def system_A(system):
+    """A, the Mn x Mn symmetric block-tridiagonal matrix of the cross blocks."""
+    blocks = [[None] * system.M for _ in range(system.M)]
+    for t, cross in enumerate(system.cross):
+        blocks[t][t + 1] = cross
+        blocks[t + 1][t] = cross.T
+    return sparse.csr_array(sparse.block_array(blocks, format="csr"))
+
+
+def system_C(system):
+    """The row-stochastic matrix B^{-1} A."""
+    return sparse.csr_array(sparse.diags_array(1.0 / system.B_diag) @ system_A(system))
+
+
+def sparse_symmetrized(system):
+    """B^{-1/2} A B^{-1/2} as a sparse matrix, symmetrized as (H + H^T) / 2."""
+    d = sparse.diags_array(1.0 / np.sqrt(system.B_diag))
+    H = sparse.csr_array(d @ system_A(system) @ d)
+    return sparse.csr_array((H + H.T) * 0.5)
+
+
 def reference_coupling(system):
     """X sliced from A: its even-view rows and odd-view columns, scaled by
     B^{-1/2} on both sides."""
@@ -122,7 +143,7 @@ def reference_coupling(system):
     even, odd = np.flatnonzero(views % 2 == 0), np.flatnonzero(views % 2 == 1)
     d_even, d_odd = (sparse.diags_array(1.0 / np.sqrt(system.B_diag[rows]))
                      for rows in (even, odd))
-    return sparse.csr_array(d_even @ system.A[even][:, odd] @ d_odd)
+    return sparse.csr_array(d_even @ system_A(system)[even][:, odd] @ d_odd)
 
 
 def transfer_operator_C(ops):
@@ -163,7 +184,7 @@ def reference_random_walk_laplacian(graph, a, self_loops=True):
     n, M = g.n, g.M
     W = np.zeros((M * n, M * n))
     for t in range(M):
-        W[t * n:(t + 1) * n, t * n:(t + 1) * n] = g.dense(t + 1)
+        W[t * n:(t + 1) * n, t * n:(t + 1) * n] = g.snapshots[t].toarray()
     for t in range(M - 1):
         idx = np.arange(n)
         W[t * n + idx, (t + 1) * n + idx] = a
@@ -204,7 +225,7 @@ def reference_eigendecompose(system, k_request):
     N x N matrix H - Q (T + 2I) Q^T, the deflated full-system solve.
     """
     def full_system(system, k, Q, T):
-        H = system.symmetrized()
+        H = sparse_symmetrized(system)
         S = T + 2.0 * np.eye(system.M)
         deflated = LinearOperator(H.shape, dtype=float,
                                   matvec=lambda x: H @ x - Q @ (S @ (Q.T @ x)))
