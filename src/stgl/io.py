@@ -19,7 +19,9 @@ into columns before the next read; one ``json.loads`` parses every other
 member, in the document with that array emptied. Any other layout, and any
 file in which that route finds anything amiss, is parsed whole by
 ``json.load``, so every file gives the graph and the error the ``json``
-route gives. The sliced route holds one read buffer, one run of parsed
+route gives. Both routes parse objects through one hook, ``_members``,
+which rejects an object that repeats a member, where ``json`` would keep
+the last value. The sliced route holds one read buffer, one run of parsed
 records and the edge columns (32 bytes a record), where the ``json`` route
 holds every record as Python objects (about 200 bytes a record). Either way
 the records are then ordered and deduplicated on one int64 key, which also
@@ -173,6 +175,17 @@ def save_graph(path, graph: TimeEvolvingGraph, labels=None):
         handle.write(f',\n  "n": {graph.n}\n}}\n')
 
 
+def _members(pairs):
+    """The dict of a JSON object's (name, value) pairs; a name that comes
+    twice is a format error, where ``json`` keeps the last value."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        name = next(name for name, _ in pairs if name in seen or seen.add(name))
+        raise GraphFormatError(f"the member {name!r} appears more than once")
+    return members
+
+
 def _edge_columns(edges):
     """The t, i, j, w columns of ``edges``, type-checked by C-level reductions."""
     if type(edges) is list and set(map(type, edges)) <= {list} \
@@ -269,7 +282,7 @@ def _sliced_document(path):
         if tail.find(b'"edges"') >= 0 or tail.find(b"\\") >= 0:
             return None
         # strict decoding: json.loads on bytes would pass a lone surrogate
-        doc = json.loads((prefix + tail).decode("utf-8"))
+        doc = json.loads((prefix + tail).decode("utf-8"), object_pairs_hook=_members)
     except (OSError, ValueError, RecursionError, GraphFormatError):
         return None  # the json route gives the error, or the graph
     pieces = list(zip(*pieces))  # each column's runs, joined and dropped in turn
@@ -288,7 +301,7 @@ def load_graph(path):
         if doc is None:
             try:
                 with open(path, encoding="utf-8") as handle:
-                    doc = json.load(handle)
+                    doc = json.load(handle, object_pairs_hook=_members)
             except FileNotFoundError:
                 raise
             # decode errors are ValueErrors, deep nesting a RecursionError

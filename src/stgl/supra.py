@@ -74,6 +74,15 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
     self-looped snapshots, so every degree is at least 1. Directed input is
     rejected: the resulting matrix would have complex eigenvalues in general,
     so callers must ``symmetrize`` first.
+
+    W is written in one pass over the views straight into the CSR arrays of
+    the result: row (t, i) holds the coupling to (t - 1, i), row i of view t
+    and the coupling to (t + 1, i), and a = 0 gives no coupling entries. The
+    normalized H is then computed in place, one view at a time, so the
+    memory is H plus one view's temporaries; the unnormalized H is
+    diag(W 1) - W in one subtraction. Every step rounds as the chained
+    scipy construction (block_diag, kron, diagonal products and (H + H^T) / 2)
+    does, so H and ``scale`` are that construction's to the bit.
     """
     if graph.directed:
         raise DirectedInput("supra-Laplacian needs an undirected graph; "
@@ -85,28 +94,60 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
                          f"expected one of {VARIANTS}")
     n, M = graph.n, graph.M
     N = M * n
-    g = graph.with_self_loops() if variant == "normalized" else graph
-    path = sparse.diags_array([np.ones(M - 1), np.ones(M - 1)], offsets=[-1, 1],
-                              format="csr")
-    blocks = sparse.block_diag(g.snapshots, format="csr")
-    coupling = sparse.kron(path, sparse.identity(n, format="csr"))
-    W = sparse.csr_array(blocks + a * coupling)
+    normalized = variant == "normalized"
+    eye = sparse.identity(n, format="csr")
 
-    if variant == "unnormalized":
+    def view(t):
+        """View t's rows as they enter W: sorted, and for the normalized
+        variant self-looped by the sum ``with_self_loops`` takes."""
+        V = graph.snapshots[t]
+        V = V if V.has_sorted_indices else V.sorted_indices()
+        return sparse.csr_array(V + eye) if normalized else V
+
+    # the coupling degree of a vertex: 1 at an end view, 2 in between; a row
+    # holds its view's row and, unless a = 0, one entry per coupling
+    coupled = np.repeat(np.r_[1.0, np.full(M - 2, 2.0), 1.0], n)
+    counts = coupled.astype(int) if a else np.zeros(N, int)
+    for t in range(M):
+        counts[t * n:(t + 1) * n] += np.diff(view(t).indptr)
+    index = np.int32 if max(N, counts.sum()) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(N + 1, index)
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1])
+    for t in range(M):
+        V = view(t)
+        vertices = np.arange(t * n, (t + 1) * n)
+        first, last = indptr[vertices], indptr[vertices + 1] - 1
+        if a and t > 0:
+            indices[first], data[first] = vertices - n, a
+            first += 1
+        if a and t < M - 1:
+            indices[last], data[last] = vertices + n, a
+        at = np.repeat(first - V.indptr[:-1], np.diff(V.indptr)) + np.arange(V.nnz)
+        indices[at], data[at] = np.add(V.indices, t * n, dtype=index), V.data
+    W = sparse.csr_array((data, indices, indptr), shape=(N, N))
+
+    if not normalized:
         # diag(W 1) as snapshot degree plus coupling degree, which rounds
         # exactly like the per-view D_t - W_t plus the lifted path Laplacian
-        degrees = (np.asarray(blocks.sum(axis=1)).ravel()
-                   + a * np.asarray(coupling.sum(axis=1)).ravel())
+        degrees = (np.concatenate([view(t).sum(axis=1) for t in range(M)])
+                   + a * coupled)
         H = sparse.csr_array(sparse.diags_array(degrees) - W)
         return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
 
-    del blocks  # only W is read below; the copy would raise the peak memory
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    eye = sparse.identity(N, format="csr")
-    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(degrees))
-    H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
-    H = sparse.csr_array((H + H.T) * 0.5)
-    return SupraSystem(n=n, M=M, H=H, scale=1.0 / np.sqrt(degrees))
+    # H = (H0 + H0^T) / 2 with H0 = I - D^{-1/2} W D^{-1/2}, view by view in
+    # W's arrays; W is exactly symmetric, so entry (c, r) of H0 is computed
+    # at (r, c) from the same weight
+    scale = 1.0 / np.sqrt(W.sum(axis=1))
+    for t in range(M):
+        part = slice(indptr[t * n], indptr[(t + 1) * n])
+        r = np.repeat(np.arange(t * n, (t + 1) * n), counts[t * n:(t + 1) * n])
+        c, w = indices[part], data[part]
+        x, y = scale[r] * w * scale[c], scale[c] * w * scale[r]
+        data[part] = np.where(r == c, (1 - x) + (1 - x), (-x) + (-y))
+    W.eliminate_zeros()  # a sum of exact zero, which H0 + H0^T drops
+    W.data *= 0.5
+    return SupraSystem(n=n, M=M, H=W, scale=scale)
 
 
 def classify_folded(folded):

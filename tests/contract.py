@@ -71,10 +71,17 @@ def _runs():
                   "--full-spectrum", "--export-vectors"]))
     for seed in range(3):
         runs.append((f"gyre-{seed}", ["gyre", "--views", "7", "--gen-seed", str(seed)]))
-    for name in ("planted", "benchmark1"):
+    for name in ("planted", "benchmark1", "benchmark2"):
         runs.append((f"baseline-{name}",
                      ["baseline", "--generator", name, "--k", str(GENERATORS[name]),
                       "--a-grid", "1e-4,0.05,10"]))
+    # the unnormalized supra variant, and a = 0, which adds no coupling entries
+    runs.append(("baseline-benchmark1-unnormalized",
+                 ["baseline", "--generator", "benchmark1", "--k", "3",
+                  "--laplacian-variant", "unnormalized", "--a-grid", "1e-4,0.05,10"]))
+    runs.append(("baseline-planted-zero-a",
+                 ["baseline", "--generator", "planted", "--k", "2",
+                  "--a-grid", "0,0.05,10"]))
     runs.append(("walk-linegraph", ["walk", "--generator", "linegraph",
                                     "--vertices", "4,5", "--walkers", "1000"]))
     runs = [(name, argv + ["--out", f"runs/{name}"]) for name, argv in runs]

@@ -137,6 +137,19 @@ class TestGraphFiles:
         with pytest.raises(GraphFormatError):
             load_graph(path)
 
+    @pytest.mark.parametrize("text, name", [
+        ('{"n": 3, "M": 2, "directed": false, "edges": [[1,0,1,1.0],[2,1,2,1.0]], '
+         '"edges": [[1,0,0,1.0]]}', "edges"),
+        ('{"n": 3, "M": 2, "directed": false, "edges": [[1,0,1,1.0]], "n": 2}', "n"),
+    ], ids=["edges", "n"])
+    def test_repeated_member(self, tmp_path, text, name):
+        # json alone keeps the last value: views of 1 and 0 edges, or n = 2
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for loader in (load_graph, reference_load_graph):
+            with pytest.raises(GraphFormatError, match=f"member '{name}' appears"):
+                loader(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
@@ -367,7 +380,8 @@ class TestSlicedRoute:
         """A list that grows by one item per ``json.load`` call."""
         calls = []
         real = json.load
-        monkeypatch.setattr(json, "load", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(json, "load", lambda *args, **kwargs:
+                            calls.append(1) or real(*args, **kwargs))
         return calls
 
     @staticmethod
@@ -391,7 +405,7 @@ class TestSlicedRoute:
             assert_same_load(got, want)
         return got
 
-    # the messages are the parent's, which read every file through json.load
+    # the messages are those of the json route, which parses the whole file
     @pytest.mark.parametrize("edit,route,message", [
         (lambda text: text.replace("\n", "\r\n"), "json", None),
         (lambda text: "\ufeff" + text, "json", "not a readable JSON file: Unexpected "
@@ -399,7 +413,9 @@ class TestSlicedRoute:
         (lambda text: text.replace("      3.0\n    ]\n  ],", "      3.0\n    ],\n  ],"),
          "json", "not a readable JSON file: Expecting value: line 29 column 3 (char 247)"),
         (lambda text: text.replace('\n  "n": 3', '\n  "edges": [[2, 1, 1, 4.0]],\n  "n": 3'),
-         "json", None),
+         "json", "the member 'edges' appears more than once"),
+        (lambda text: text.replace('\n  "n": 3', '\n  "n": 2,\n  "n": 3'), "json",
+         "the member 'n' appears more than once"),
         (lambda text: text[:text.index('"edges": [') + 10]
          + text[text.index('],\n  "labels"'):], "sliced", None),
         (_weight(2**64 + 1), "sliced", None),
@@ -417,11 +433,12 @@ class TestSlicedRoute:
          "json", "not a readable JSON file: 'utf-8' codec can't decode byte 0xed "
          "in position 353: invalid continuation byte"),
         (lambda text: text.replace('\n  "n": 3', '\n  "\\u0065dges": [[2, 1, 1, 4.0]],'
-                                   '\n  "n": 3'), "json", None),
+                                   '\n  "n": 3'), "json",
+         "the member 'edges' appears more than once"),
         (lambda text: text.replace('"labels": [\n    [\n      0,',
                                    f'"labels": [\n    [\n      {2**63},'), "sliced",
          "labels must be integers: Python int too large to convert to C long"),
-    ], ids=["crlf", "bom", "trailing-comma", "second-edges", "no-edges",
+    ], ids=["crlf", "bom", "trailing-comma", "second-edges", "second-n", "no-edges",
             "weight-2**64+1", "weight-1e400", "weight-NaN", "weight-long-0.1",
             "view-1.0", "view--0", "view-01", "lone-surrogate", "escaped-edges",
             "label-2**63"])

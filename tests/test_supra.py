@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
 from stgl import (DirectedInput, InsufficientSpatialEigenvectors,
-                  TimeEvolvingGraph, build_supra, static_blocks, supra,
-                  supra_cluster, symmetrize)
+                  TimeEvolvingGraph, build_supra, gen_benchmark1, static_blocks,
+                  supra, supra_cluster, symmetrize)
 from stgl.supra import classify_folded
 
-from util import (random_teg, reference_random_walk_laplacian,
-                  supra_laplacian)
+from util import (random_teg, reference_build_supra,
+                  reference_random_walk_laplacian, supra_laplacian)
 
 
 def undirected_teg(seed, **kwargs):
@@ -31,7 +33,64 @@ class TestSymmetrize:
         np.testing.assert_allclose(sym.snapshots[0].toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
+def unsorted_rows_graph():
+    """A two-view graph whose first snapshot stores each row's indices in
+    descending order."""
+    W = undirected_teg(1, n_max=12).snapshots[0]
+    for r in range(W.shape[0]):
+        row = slice(W.indptr[r], W.indptr[r + 1])
+        W.indices[row], W.data[row] = W.indices[row][::-1], W.data[row][::-1]
+    g = TimeEvolvingGraph(n=W.shape[0], M=2, snapshots=(W, W.toarray()))
+    assert not g.snapshots[0].has_sorted_indices
+    return g
+
+
+def bitwise_cases():
+    """Every graph the bitwise comparison runs on, as a param named for it."""
+    loop = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 3.0]])
+    lone = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+    cases = [(f"benchmark1-{seed}", gen_benchmark1(seed)[0]) for seed in range(3)]
+    cases += [(f"random-{seed}", undirected_teg(seed)) for seed in range(60)]
+    cases += [(f"static-M{M}", static_blocks(n=12, M=M, seed=M)[0]) for M in (2, 10)]
+    cases += [("self-loops", TimeEvolvingGraph.from_dense([loop, 2 * loop])),
+              ("lone-self-loop", TimeEvolvingGraph.from_dense([lone, loop])),
+              ("one-vertex", TimeEvolvingGraph.from_dense([[[1.0]], [[0.0]], [[2.5]]])),
+              ("unsorted-rows", unsorted_rows_graph())]
+    return [pytest.param(graph, id=name) for name, graph in cases]
+
+
+def as_int64(system):
+    """H's CSR arrays and ``scale``, each as int64 (floats by their bits)."""
+    H = system.H
+    return (H.shape, H.indptr.astype(np.int64), H.indices.astype(np.int64),
+            H.data.view(np.int64), system.scale.view(np.int64))
+
+
 class TestBuildSupra:
+    @pytest.mark.parametrize("graph", bitwise_cases())
+    def test_bitwise_equal_to_the_reference(self, graph):
+        for variant in ("unnormalized", "normalized"):
+            for a in (0.0, 1e-4, 0.05, 0.7, 10.0, 1e300):
+                got = as_int64(build_supra(graph, a, variant))
+                want = as_int64(reference_build_supra(graph, a, variant))
+                assert got[0] == want[0]
+                for mine, theirs in zip(got[1:], want[1:]):
+                    assert np.array_equal(mine, theirs), (variant, a)
+
+    @pytest.mark.parametrize("variant", ["unnormalized", "normalized"])
+    def test_peak_below_four_times_H(self, variant):
+        # one pass holds W's arrays and one view's temporaries, where the
+        # chained scipy construction copied the whole matrix at every step
+        # (a 16.0 MB peak for an H of 2.6 MB, normalized variant)
+        graph = gen_benchmark1(0)[0]
+        tracemalloc.start()
+        try:
+            H = build_supra(graph, 0.05, variant).H
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
     def test_directed_input_rejected(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = TimeEvolvingGraph.from_dense([W, W], directed=True)

@@ -10,9 +10,10 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import stgl.io as stgl_io
-from stgl import (GraphFormatError, TimeEvolvingGraph, assemble_system,
-                  laplacian, propagate_densities)
+from stgl import (DirectedInput, GraphFormatError, TimeEvolvingGraph,
+                  assemble_system, laplacian, propagate_densities)
 from stgl.laplacian import symmetric_eigenpairs
+from stgl.supra import VARIANTS, SupraSystem
 
 
 def random_teg(seed, n_max=50, M_max=6, density=0.25):
@@ -167,6 +168,51 @@ def transfer_operator_C(ops):
     return sparse.csr_array(sparse.block_array(blocks, format="csr"))
 
 
+def reference_build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSystem:
+    """``build_supra`` through chained scipy operations.
+
+    Both variants start from the layered-graph adjacency
+    W = blockdiag(W_t) + a (P kron I), P the path adjacency over the views.
+    "unnormalized" takes H = diag(W 1) - W on the raw snapshots (self-loops
+    cancel there); "normalized" takes H = I - D^{-1/2} W D^{-1/2} on the
+    self-looped snapshots, so every degree is at least 1. Directed input is
+    rejected: the resulting matrix would have complex eigenvalues in general,
+    so callers must ``symmetrize`` first.
+    """
+    if graph.directed:
+        raise DirectedInput("supra-Laplacian needs an undirected graph; "
+                            "apply symmetrize() first")
+    if not 0 <= a < math.inf:
+        raise ValueError(f"coupling strength must be finite and nonnegative, got {a}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown Laplacian variant {variant!r}; "
+                         f"expected one of {VARIANTS}")
+    n, M = graph.n, graph.M
+    N = M * n
+    g = graph.with_self_loops() if variant == "normalized" else graph
+    path = sparse.diags_array([np.ones(M - 1), np.ones(M - 1)], offsets=[-1, 1],
+                              format="csr")
+    blocks = sparse.block_diag(g.snapshots, format="csr")
+    coupling = sparse.kron(path, sparse.identity(n, format="csr"))
+    W = sparse.csr_array(blocks + a * coupling)
+
+    if variant == "unnormalized":
+        # diag(W 1) as snapshot degree plus coupling degree, which rounds
+        # exactly like the per-view D_t - W_t plus the lifted path Laplacian
+        degrees = (np.asarray(blocks.sum(axis=1)).ravel()
+                   + a * np.asarray(coupling.sum(axis=1)).ravel())
+        H = sparse.csr_array(sparse.diags_array(degrees) - W)
+        return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
+
+    del blocks  # only W is read below; the copy would raise the peak memory
+    degrees = np.asarray(W.sum(axis=1)).ravel()
+    eye = sparse.identity(N, format="csr")
+    inv_sqrt = sparse.diags_array(1.0 / np.sqrt(degrees))
+    H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
+    H = sparse.csr_array((H + H.T) * 0.5)
+    return SupraSystem(n=n, M=M, H=H, scale=1.0 / np.sqrt(degrees))
+
+
 def supra_laplacian(system):
     """The supra-Laplacian diag(scale) H diag(1 / scale) of a ``SupraSystem``."""
     left = sparse.dia_array((system.scale[None, :], [0]), shape=system.H.shape)
@@ -249,6 +295,15 @@ def _reference_edge_records(edges):
                                f"records: {err}") from err
 
 
+def _reference_object(pairs):
+    """A JSON object as a dict; the first name that comes twice is an error."""
+    names = [name for name, _ in pairs]
+    for name in names:
+        if names.count(name) > 1:
+            raise GraphFormatError(f"the member {name!r} appears more than once")
+    return dict(pairs)
+
+
 def reference_load_graph(path):
     """The per-record graph loader: one dict of entries per view.
 
@@ -257,7 +312,7 @@ def reference_load_graph(path):
     """
     with open(path) as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_reference_object)
         except json.JSONDecodeError as err:
             raise GraphFormatError(f"not valid JSON: {err}") from err
     try:
