@@ -30,7 +30,8 @@ def gen_planted_partition(membership, p_in, p_out, *,
     if not 0 <= p_out <= p_in <= 1:
         raise ValueError("need 0 <= p_out <= p_in <= 1")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
+    # int32, so that the snapshots' CSR arrays carry int32 indices
+    iu, ju = (v.astype(np.int32) for v in np.triu_indices(n, k=1))
     snapshots = []
     for m in membership:
         prob = np.where(m[iu] == m[ju], p_in, p_out)

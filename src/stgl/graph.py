@@ -21,7 +21,9 @@ def _as_csr(W, n):
     with np.errstate(over="ignore"):
         if not np.isfinite(A.sum(axis=1)).all():
             raise GraphFormatError("edge weights overflow a vertex degree")
-    A.eliminate_zeros()
+    if not A.data.all():  # in a copy: csr_array(W) shares a CSR input's arrays
+        A = A.copy()
+        A.eliminate_zeros()
     return A
 
 
@@ -59,17 +61,6 @@ class TimeEvolvingGraph:
         matrices = [np.asarray(W, dtype=float) for W in matrices]
         n = matrices[0].shape[0]
         return cls(n=n, M=len(matrices), snapshots=tuple(matrices), directed=directed)
-
-    def with_self_loops(self):
-        """Copy of the graph with 1 added to every diagonal entry.
-
-        Guarantees positive out-degrees, hence strictly positive densities
-        under propagation.
-        """
-        eye = sparse.identity(self.n, format="csr")
-        snaps = tuple(sparse.csr_array(W + eye) for W in self.snapshots)
-        return TimeEvolvingGraph(n=self.n, M=self.M, snapshots=snaps,
-                                 directed=self.directed)
 
     def edge_arrays(self):
         """(t, i, j, w) arrays of the stored edges, t 1-based, view by view in

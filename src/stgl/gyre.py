@@ -245,9 +245,9 @@ def ulam_counts(grid: UlamGrid, params: GyreParams, t, seed, field=None,
                             shape=(grid.n_boxes, grid.n_boxes))
 
 
-def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0,
-               noise=DEFAULT_GYRE_NOISE):
-    """Directed time-evolving graph of Ulam transition counts.
+def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0):
+    """Directed time-evolving graph of Ulam transition counts, advected with
+    the Brownian perturbation ``DEFAULT_GYRE_NOISE``.
 
     View t holds the counts for the unit interval [t-1, t], so M=10 covers
     one oscillation period with snapshots starting at t = 0, 1, ..., 9.
@@ -260,7 +260,8 @@ def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0,
     params = params or GyreParams()
 
     def view(t):
-        return ulam_counts(grid, params, float(t), seed, noise=noise).astype(float)
+        return ulam_counts(grid, params, float(t), seed,
+                           noise=DEFAULT_GYRE_NOISE).astype(float)
 
     # Two views in flight at most, the only count measured. The calling thread
     # builds every other view: memory a pool thread frees stays in that

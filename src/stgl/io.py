@@ -12,20 +12,21 @@ whatever the edge count.
 
 ``load_graph`` reads the file as bytes and takes one of two routes, chosen
 by the bytes alone. A file that starts with exactly the bytes ``save_graph``
-writes before the first edge record (``_SAVED_PREFIX``) and holds no string
-in its ``edges`` array is read ``READ_SLICE_BYTES`` at a time into one
-buffer, and the whole records read so far are parsed by orjson and turned
-into columns before the next read; one ``json.loads`` parses every other
-member, in the document with that array emptied. Any other layout, and any
-file in which that route finds anything amiss, is parsed whole by
-``json.load``, so every file gives the graph and the error the ``json``
-route gives. Both routes parse objects through one hook, ``_members``,
-which rejects an object that repeats a member, where ``json`` would keep
-the last value. The sliced route holds one read buffer, one run of parsed
-records and the edge columns (32 bytes a record), where the ``json`` route
-holds every record as Python objects (about 200 bytes a record). Either way
-the records are then ordered and deduplicated on one int64 key, which also
-gives back each record's view and vertices.
+writes before the first edge record (``_SAVED_PREFIX``), with LF or CRLF
+line breaks, and holds no string in its ``edges`` array is read
+``READ_SLICE_BYTES`` at a time into one buffer, and the whole records read
+so far are parsed by orjson and turned into columns before the next read;
+one ``json.loads`` parses every other member, in the document with that
+array emptied. Any other layout, and any file in which that route finds
+anything amiss, is parsed whole by ``json.load``, so every file gives the
+graph and the error the ``json`` route gives. Both routes parse objects
+through one hook, ``_members``, which rejects an object that repeats a
+member, where ``json`` would keep the last value. The sliced route holds
+one read buffer, one run of parsed records and the edge columns (32 bytes a
+record), where the ``json`` route holds every record as Python objects
+(about 200 bytes a record). Either way the records are then ordered and
+deduplicated on one int64 key, which also gives back each record's view and
+vertices.
 
 Every writer goes through one atomic handle, ``atomic_file``: a temp file
 in the destination directory, created with the mode ``open(path, "w")``
@@ -70,13 +71,15 @@ WRITE_ROW_CHUNK = 1024
 # records among them become columns before the next read.
 READ_SLICE_BYTES = 512 * 1024
 
-# The members save_graph writes before the edge records, from byte 0 on, and
-# their length with an 11-character M, which holds every M from -2³¹ to the
-# header check's largest, 2³¹ - 1; the first read takes that many bytes more,
-# and a file with a longer M is left to the json route
+# The members save_graph writes before the edge records, from byte 0 on, with
+# LF or CRLF line breaks, and their length with CRLF breaks and an 11-character
+# M, which holds every M from -2³¹ to the header check's largest, 2³¹ - 1; the
+# first read takes that many bytes more, and a file with a longer M is left to
+# the json route
 _SAVED_PREFIX = re.compile(
-    rb'\{\n  "M": -?(?:0|[1-9][0-9]*),\n  "directed": (?:true|false),\n  "edges": \[')
-_PREFIX_BYTES = len(b'{\n  "M": -2147483648,\n  "directed": false,\n  "edges": [')
+    rb'\{\r?\n  "M": -?(?:0|[1-9][0-9]*),\r?\n  "directed": (?:true|false),\r?\n'
+    rb'  "edges": \[')
+_PREFIX_BYTES = len(b'{\r\n  "M": -2147483648,\r\n  "directed": false,\r\n  "edges": [')
 # the last break between two records: the greedy .* backtracks from the end
 _LAST_BREAK = re.compile(rb"(?s:.*)(\])[ \t\n\r]*,[ \t\n\r]*\[")
 
@@ -247,9 +250,10 @@ def _sliced_document(path):
     between two records. With no string in the edges array, the first ``"``
     after it opens the next member, so the array ends at the last ``]``
     before it; only the bytes from there on are kept. ``json`` parses the
-    document with the array emptied, so a later ``edges`` key, or an escape
-    that may spell one, is left to the ``json`` route. Once each run parses
-    to flat number records, the whole array is their concatenation.
+    document with the array emptied, through ``_members``, so a later
+    ``edges`` member, spelled out or escaped, raises there and the file goes
+    to the ``json`` route. Once each run parses to flat number records, the
+    whole array is their concatenation.
     """
     pieces = []
     try:
@@ -279,8 +283,6 @@ def _sliced_document(path):
                 return None
             pieces.append(_edge_run(buf, start, close))
             tail = buf[close:size] + handle.read()
-        if tail.find(b'"edges"') >= 0 or tail.find(b"\\") >= 0:
-            return None
         # strict decoding: json.loads on bytes would pass a lone surrogate
         doc = json.loads((prefix + tail).decode("utf-8"), object_pairs_hook=_members)
     except (OSError, ValueError, RecursionError, GraphFormatError):

@@ -23,24 +23,27 @@ DENSITY_FLOOR = 1e-300
 class OperatorSequence:
     """Per-view transition matrices and the propagated reference densities.
 
-    ``transitions[t]`` is row-stochastic and ``densities[t]`` strictly
-    positive with unit sum; ``densities[t + 1] = S_t^T densities[t]``.
+    ``transitions[t]`` is a nonnegative, row-stochastic ``csr_array`` and
+    ``densities[t]`` strictly positive with unit sum;
+    ``densities[t + 1] = S_t^T densities[t]``.
     """
 
     transitions: tuple = field(repr=False)
     densities: tuple = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+        object.__setattr__(self, "transitions",
+                           tuple(sparse.csr_array(S) for S in self.transitions))
         object.__setattr__(self, "densities",
                            tuple(np.asarray(mu, dtype=float) for mu in self.densities))
         if len(self.densities) != len(self.transitions):
             raise ValueError("need one density per view")
         # each check is written so that NaN fails it
         for t, S in enumerate(self.transitions, start=1):
-            rows = np.asarray(S.sum(axis=1)).ravel()
-            if not np.abs(rows - 1.0).max() <= 1e-12:
+            if not np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12:
                 raise ValueError(f"transition matrix at view {t} is not row-stochastic")
+            if not (S.data >= 0).all():
+                raise ValueError(f"transition matrix at view {t} has negative entries")
         for t, mu in enumerate(self.densities, start=1):
             if not (mu.min() > 0 and abs(mu.sum() - 1.0) <= 1e-12):
                 raise ValueError(f"density at view {t} is not strictly positive "
@@ -79,18 +82,19 @@ def propagate_densities(graph: TimeEvolvingGraph, *,
 
     The density at view 1 is uniform. With ``self_loops`` (the default) a
     unit self-loop is added to every vertex at every view before
-    normalization, which keeps all propagated densities strictly positive;
-    without it, an entry below ``DENSITY_FLOOR`` raises DensityVanished.
+    normalization, as ``row_normalize(W + I)``, which keeps all propagated
+    densities strictly positive; without it, an entry below
+    ``DENSITY_FLOOR`` raises DensityVanished.
     """
-    g = graph.with_self_loops() if self_loops else graph
+    eye = sparse.identity(graph.n, format="csr")
     transitions = []
-    for t, W in enumerate(g.snapshots, start=1):
+    for t, W in enumerate(graph.snapshots, start=1):
         try:
-            transitions.append(row_normalize(W))
+            transitions.append(row_normalize(W + eye if self_loops else W))
         except ZeroOutDegree as err:
             raise ZeroOutDegree(err.vertex, view=t) from None
 
-    mu = np.full(g.n, 1.0 / g.n)
+    mu = np.full(graph.n, 1.0 / graph.n)
     densities = [mu]
     for t, S in enumerate(transitions[:-1], start=1):
         mu = S.T @ mu

@@ -28,7 +28,7 @@ from scipy import sparse
 from .clustering import ClusteringResult, kmeans, select_spatial
 from .errors import DirectedInput
 from .graph import TimeEvolvingGraph
-from .laplacian import symmetric_eigenpairs
+from .laplacian import symmetric_eigenpairs, view_weights
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -99,14 +99,15 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
 
     def view(t):
         """View t's rows as they enter W: sorted, and for the normalized
-        variant self-looped by the sum ``with_self_loops`` takes."""
+        variant self-looped by the sum W + I that ``propagate_densities``
+        takes."""
         V = graph.snapshots[t]
         V = V if V.has_sorted_indices else V.sorted_indices()
         return sparse.csr_array(V + eye) if normalized else V
 
     # the coupling degree of a vertex: 1 at an end view, 2 in between; a row
     # holds its view's row and, unless a = 0, one entry per coupling
-    coupled = np.repeat(np.r_[1.0, np.full(M - 2, 2.0), 1.0], n)
+    coupled = np.repeat(view_weights(M), n)
     counts = coupled.astype(int) if a else np.zeros(N, int)
     for t in range(M):
         counts[t * n:(t + 1) * n] += np.diff(view(t).indptr)

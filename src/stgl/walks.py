@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .operators import OperatorSequence
 
@@ -29,9 +28,7 @@ def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
     paths[:, 0] = starts
     for t, S in enumerate(ops.transitions[:-1]):
         # the CDF must run over the columns in order, as the dense row does
-        S = sparse.csr_array(S).sorted_indices()
-        if (S.data < 0).any():
-            raise ValueError(f"transition matrix at view {t + 1} has negative entries")
+        S = S.sorted_indices()
         order = np.argsort(paths[:, t])
         rows, first = np.unique(paths[order, t], return_index=True)
         for r, walkers in zip(rows, np.split(order, first[1:])):

@@ -22,6 +22,11 @@ Each tree also runs the ``SESSION`` commands twice through ``stgl.cli.main``
 in one interpreter (a library session); both calls must give the codes,
 streams and files of the tree's fresh runs.
 
+Bytes may depend on the BLAS thread count, so each tree then runs the
+``THREADED`` commands, every ``cluster`` command after the ``generate``
+command whose file one of them reads, once more in fresh interpreters under
+``OPENBLAS_NUM_THREADS=2``; the two trees must agree at that count too.
+
 Every difference is printed on its own line. The exit code is 0 when there
 is none, 1 otherwise and 2 on a usage error. Pytest does not collect this
 file.
@@ -121,6 +126,11 @@ SESSION = [name for name, argv in RUNS
            if argv and argv[0] in ("cluster", "spectrum", "baseline", "walk")
            and "--input" not in argv]
 
+# the second BLAS thread count, and the commands run again at it
+THREADS = "2"
+THREADED = [(name, argv) for name, argv in RUNS
+            if name.startswith("cluster-") or name == "generate-benchmark2"]
+
 MAIN = "import sys; from stgl.cli import main; sys.exit(main(sys.argv[1:]))"
 SESSION_MAIN = """
 import contextlib, io, json, os, sys
@@ -140,10 +150,10 @@ sys.stdout.write(json.dumps(records))
 """
 
 
-def _env(src):
+def _env(src, threads="1"):
     env = {k: v for k, v in os.environ.items() if k != "STGL_OUT_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["OPENBLAS_NUM_THREADS"] = threads
     return env
 
 
@@ -190,16 +200,23 @@ def write_inputs(src, inputs):
         (inputs / f"{name}.json").write_bytes(files[name].encode())
 
 
+def run_fresh(runs, cwd, env):
+    """{name: (code, stdout, stderr)} of ``runs``, each in a fresh interpreter
+    in the new directory ``cwd``."""
+    records = {}
+    cwd.mkdir(parents=True)
+    for name, argv in runs:
+        done = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=900)
+        records[name] = (done.returncode, done.stdout, done.stderr)
+    return records
+
+
 def run_tree(src, work):
     """Fresh and session records of one tree: {name: (code, stdout, stderr)}
     and, per session call, the same for the ``SESSION`` commands."""
-    fresh = {}
     env = _env(src)
-    (work / "fresh").mkdir(parents=True)
-    for name, argv in RUNS:
-        done = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=work / "fresh",
-                              env=env, capture_output=True, text=True, timeout=900)
-        fresh[name] = (done.returncode, done.stdout, done.stderr)
+    fresh = run_fresh(RUNS, work / "fresh", env)
     argvs = dict(RUNS)
     calls = [[str(work / f"session{i}"), argvs[name]] for i in (1, 2) for name in SESSION]
     done = subprocess.run([sys.executable, "-c", SESSION_MAIN, json.dumps(calls)],
@@ -289,9 +306,17 @@ def main(argv):
         with ThreadPoolExecutor(max_workers=2) as pool:
             (old_fresh, old_sessions), (new_fresh, new_sessions) = pool.map(
                 run_tree, srcs, works)
+            old_threaded, new_threaded = pool.map(
+                lambda src, work: run_fresh(THREADED, work / "threaded",
+                                            _env(src, THREADS)), srcs, works)
         diffs = compare_records(old_fresh, new_fresh, "old vs new")
         tree_diffs, files = compare_trees(works[0] / "fresh", works[1] / "fresh",
                                           "old vs new")
+        diffs += tree_diffs
+        label = f"old vs new at {THREADS} threads"
+        diffs += compare_records(old_threaded, new_threaded, label)
+        tree_diffs, threaded_files = compare_trees(works[0] / "threaded",
+                                                   works[1] / "threaded", label)
         diffs += tree_diffs
         for side, work, fresh, sessions in (("old", works[0], old_fresh, old_sessions),
                                             ("new", works[1], new_fresh, new_sessions)):
@@ -306,7 +331,9 @@ def main(argv):
     for line in diffs:
         print(line)
     print(f"{len(RUNS)} commands per tree, {files} files compared, "
-          f"{len(SESSION)} commands called twice per library session; "
+          f"{len(SESSION)} commands called twice per library session, "
+          f"{len(THREADED)} commands and {threaded_files} files at {THREADS} "
+          f"BLAS threads; "
           f"{len(diffs)} differences in {time.perf_counter() - start:.0f} s")
     return 1 if diffs else 0
 

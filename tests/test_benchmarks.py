@@ -94,6 +94,13 @@ class TestLineGraph:
 
 
 class TestPlantedPartition:
+    @pytest.mark.parametrize("make", [lambda: gen_benchmark1(0)[0],
+                                      lambda: static_blocks()[0]],
+                             ids=["benchmark1", "planted"])
+    def test_int32_indices(self, make):
+        for W in make().snapshots:
+            assert W.indices.dtype == W.indptr.dtype == np.int32
+
     def test_zero_noise_is_block_diagonal(self):
         membership = np.tile(np.repeat([0, 1], 10), (3, 1))
         g = gen_planted_partition(membership, 0.8, 0.0, seed=0)

@@ -22,7 +22,7 @@ from stgl.io import (_edge_order, atomic_write_text, save_eigenvectors_csv,
                      save_labels_csv, save_spectrum_csv, write_csv, write_report)
 
 from util import (CORRUPTIONS, corrupt, random_teg, reference_graph_payload,
-                  reference_load_graph, reference_new_records)
+                  reference_load_graph, reference_new_records, with_self_loops)
 
 
 class TestTimeEvolvingGraph:
@@ -59,9 +59,21 @@ class TestTimeEvolvingGraph:
 
     def test_self_loops_added(self):
         g = gen_line_graph()
-        looped = g.with_self_loops()
+        looped = with_self_loops(g)
         np.testing.assert_allclose((looped.snapshots[0] - g.snapshots[0]).toarray(),
                                    np.eye(6))
+
+    def test_caller_arrays_left_untouched(self):
+        # csr_array(W) shares a CSR input's arrays, so explicit zeros must be
+        # dropped from a copy
+        data, indices, indptr = (np.array(a) for a in ([1.0, 0.0, 2.0], [1, 0, 0],
+                                                        [0, 2, 3]))
+        W = sparse.csr_array((data, indices, indptr), shape=(2, 2))
+        g = TimeEvolvingGraph(n=2, M=2, snapshots=(W, W.copy()), directed=True)
+        assert data.tolist() == [1.0, 0.0, 2.0] and indptr.tolist() == [0, 2, 3]
+        assert W.nnz == 3
+        assert all(S.nnz == 2 for S in g.snapshots)
+        np.testing.assert_array_equal(g.snapshots[0].toarray(), [[0.0, 1.0], [2.0, 0.0]])
 
     def test_edge_arrays_undirected_once(self):
         g = gen_line_graph()
@@ -407,7 +419,7 @@ class TestSlicedRoute:
 
     # the messages are those of the json route, which parses the whole file
     @pytest.mark.parametrize("edit,route,message", [
-        (lambda text: text.replace("\n", "\r\n"), "json", None),
+        (lambda text: text.replace("\n", "\r\n"), "sliced", None),
         (lambda text: "\ufeff" + text, "json", "not a readable JSON file: Unexpected "
          "UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         (lambda text: text.replace("      3.0\n    ]\n  ],", "      3.0\n    ],\n  ],"),
@@ -438,10 +450,12 @@ class TestSlicedRoute:
         (lambda text: text.replace('"labels": [\n    [\n      0,',
                                    f'"labels": [\n    [\n      {2**63},'), "sliced",
          "labels must be integers: Python int too large to convert to C long"),
+        (lambda text: text.replace('\n  "n": 3', '\n  "x": "\\u0041",\n  "n": 3'),
+         "sliced", None),
     ], ids=["crlf", "bom", "trailing-comma", "second-edges", "second-n", "no-edges",
             "weight-2**64+1", "weight-1e400", "weight-NaN", "weight-long-0.1",
             "view-1.0", "view--0", "view-01", "lone-surrogate", "escaped-edges",
-            "label-2**63"])
+            "label-2**63", "escape-in-tail"])
     def test_pinned_cases(self, tmp_path, monkeypatch, json_load_calls, edit, route,
                           message):
         path = tmp_path / "g.json"
@@ -484,19 +498,22 @@ class TestSlicedRoute:
         # the json route holds every record as Python objects, the sliced
         # route one read buffer, one run of records and the columns (10.4 MB
         # against 48.0 MB, numpy 2.4; 30.6 MB when the file was held whole);
-        # a leading space sends the same document to the json route
-        path, spaced = tmp_path / "b2.json", tmp_path / "spaced.json"
+        # a leading space sends the same document to the json route, and its
+        # CRLF copy takes the sliced route
+        path, crlf, spaced = (tmp_path / f"{name}.json"
+                              for name in ("b2", "crlf", "spaced"))
         save_graph(path, *gen_benchmark2(0))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         spaced.write_bytes(b" " + path.read_bytes())
         peaks = []
-        for file in (path, spaced):
+        for file in (path, crlf, spaced):
             tracemalloc.start()
             try:
                 load_graph(file)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 0.45 * peaks[1]
+        assert max(peaks[:2]) < 0.45 * peaks[2]
 
 
 class TestEdgeOrder:

@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from stgl import (DensityVanished, OperatorSequence, TimeEvolvingGraph,
-                  ZeroOutDegree, gen_line_graph, propagate_densities,
-                  row_normalize)
+                  ZeroOutDegree, gen_benchmark1, gen_benchmark2, gen_line_graph,
+                  propagate_densities, row_normalize)
 
-from util import random_teg
+from util import random_teg, with_self_loops
 
 
 class TestRowNormalize:
@@ -81,6 +83,38 @@ class TestPropagateDensities:
             propagate_densities(g, self_loops=False)
         assert (err.value.view, err.value.vertex) == (2, 0)
 
+    def test_builds_no_second_graph(self):
+        g = random_teg(0)
+        with mock.patch.object(TimeEvolvingGraph, "__post_init__",
+                               autospec=True) as post_init:
+            propagate_densities(g)
+            propagate_densities(g, self_loops=False)
+        assert post_init.call_count == 0
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_bitwise_equal_to_the_self_looped_graph(self, self_loops):
+        # the oracle: row_normalize over a second, self-looped graph
+        graphs = [random_teg(seed) for seed in range(60)]
+        graphs += [gen_benchmark1(0)[0], gen_benchmark2(0)[0]]
+        for g in graphs:
+            try:
+                ops = propagate_densities(g, self_loops=self_loops)
+            except (ZeroOutDegree, DensityVanished):
+                assert not self_loops
+                continue
+            looped = with_self_loops(g) if self_loops else g
+            for S, W in zip(ops.transitions, looped.snapshots):
+                want = row_normalize(W)
+                for name in ("indptr", "indices", "data"):
+                    got, expected = getattr(S, name), getattr(want, name)
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
+            mu = np.full(g.n, 1.0 / g.n)
+            for t, density in enumerate(ops.densities):
+                if t:
+                    mu = row_normalize(looped.snapshots[t - 1]).T @ mu
+                assert density.tobytes() == mu.tobytes()
+
     def test_zero_out_degree_reports_view(self):
         W1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         W2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -116,3 +150,17 @@ class TestOperatorSequenceValidation:
     def test_rejects_nan(self, S, mu):
         with pytest.raises(ValueError):
             OperatorSequence(transitions=(S,), densities=(mu,))
+
+    def test_rejects_negative_entry(self):
+        # rows sum to one and the densities stay positive, so only the
+        # negativity check objects
+        S = np.array([[1.5, -0.5], [0.0, 1.0]])
+        mu = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="transition matrix at view 1 has "
+                                             "negative entries"):
+            OperatorSequence(transitions=(S, np.eye(2)), densities=(mu, S.T @ mu))
+
+    def test_dense_input_stored_as_csr(self):
+        mu = np.array([0.5, 0.5])
+        ops = OperatorSequence(transitions=(np.eye(2), np.eye(2)), densities=(mu, mu))
+        assert all(type(S) is sparse.csr_array for S in ops.transitions)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stgl import (OperatorSequence, TimeEvolvingGraph, escape_rate,
-                  gen_benchmark1, gen_benchmark2, gen_line_graph, occupancy,
-                  propagate_densities, simulate_walks)
+from stgl import (TimeEvolvingGraph, escape_rate, gen_benchmark1,
+                  gen_benchmark2, gen_line_graph, occupancy, propagate_densities,
+                  simulate_walks)
 
 from util import random_teg, reference_walks
 
@@ -40,15 +40,6 @@ class TestSimulateWalk:
         for start in (6, -1):
             with pytest.raises(ValueError, match=rf"start vertex {start} out of range \[0, 6\)"):
                 simulate_walks(ops, [0, start, 7], seed=0)
-
-    def test_negative_transition_entry_rejected(self):
-        # rows sum to one and the densities stay positive, so only the
-        # walk itself can object to the negative entry
-        S = np.array([[1.5, -0.5], [0.0, 1.0]])
-        mu = np.array([0.5, 0.5])
-        ops = OperatorSequence(transitions=(S, np.eye(2)), densities=(mu, S.T @ mu))
-        with pytest.raises(ValueError):
-            simulate_walks(ops, [0], seed=0)
 
     def test_no_walkers(self):
         ops = propagate_densities(gen_line_graph())

@@ -33,6 +33,16 @@ def random_teg(seed, n_max=50, M_max=6, density=0.25):
     return TimeEvolvingGraph.from_dense(snaps, directed=directed)
 
 
+def with_self_loops(graph):
+    """Copy of ``graph`` with 1 added to every diagonal entry, as a second
+    graph; ``propagate_densities`` and ``build_supra`` take the same sum
+    W + I view by view."""
+    eye = sparse.identity(graph.n, format="csr")
+    snaps = tuple(sparse.csr_array(W + eye) for W in graph.snapshots)
+    return TimeEvolvingGraph(n=graph.n, M=graph.M, snapshots=snaps,
+                             directed=graph.directed)
+
+
 def rank_one_coupling_graph(n=12):
     """Two views, the first an all-ones snapshot, the second random with
     unit self-loops; without self-loop regularization the first view's
@@ -189,7 +199,7 @@ def reference_build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -
                          f"expected one of {VARIANTS}")
     n, M = graph.n, graph.M
     N = M * n
-    g = graph.with_self_loops() if variant == "normalized" else graph
+    g = with_self_loops(graph) if variant == "normalized" else graph
     path = sparse.diags_array([np.ones(M - 1), np.ones(M - 1)], offsets=[-1, 1],
                               format="csr")
     blocks = sparse.block_diag(g.snapshots, format="csr")
@@ -226,7 +236,7 @@ def reference_random_walk_laplacian(graph, a, self_loops=True):
     W stacks the (optionally self-looped) snapshots on the diagonal and
     links each vertex to its copies at adjacent views with weight a.
     """
-    g = graph.with_self_loops() if self_loops else graph
+    g = with_self_loops(graph) if self_loops else graph
     n, M = g.n, g.M
     W = np.zeros((M * n, M * n))
     for t in range(M):
