@@ -38,10 +38,9 @@ def gen_planted_partition(membership, p_in, p_out, *,
         present = rng.random(len(iu)) < prob
         w = rng.uniform(*weight_range, int(present.sum()))
         i, j = iu[present], ju[present]
-        W = sparse.coo_array((np.concatenate([w, w]),
-                              (np.concatenate([i, j]), np.concatenate([j, i]))),
-                             shape=(n, n))
-        snapshots.append(sparse.csr_array(W))
+        snapshots.append(sparse.coo_array(
+            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+            shape=(n, n)))
     return TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots),
                              directed=False)
 

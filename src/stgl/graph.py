@@ -11,7 +11,7 @@ from .errors import GraphFormatError
 
 
 def _as_csr(W, n):
-    A = sparse.csr_array(W)
+    A = sparse.csr_array(W, copy=True)
     if A.shape != (n, n):
         raise GraphFormatError(f"snapshot has shape {A.shape}, expected {(n, n)}")
     if not np.isfinite(A.data).all():
@@ -21,9 +21,8 @@ def _as_csr(W, n):
     with np.errstate(over="ignore"):
         if not np.isfinite(A.sum(axis=1)).all():
             raise GraphFormatError("edge weights overflow a vertex degree")
-    if not A.data.all():  # in a copy: csr_array(W) shares a CSR input's arrays
-        A = A.copy()
-        A.eliminate_zeros()
+    A.eliminate_zeros()
+    A.sort_indices()
     return A
 
 
@@ -34,6 +33,8 @@ class TimeEvolvingGraph:
     Vertices are indexed 0..n-1 and views 1..M (stored 0-based in
     ``snapshots``). Entry (i, j) of a snapshot is the weight of the edge
     i -> j at that view; for undirected graphs every snapshot is symmetric.
+    Each snapshot is stored as a zero-free ``csr_array`` with sorted
+    indices, in arrays of the graph's own, not the caller's.
     """
 
     n: int

@@ -353,7 +353,7 @@ def load_graph(path):
     i %= n
     del key
     snapshots = tuple(sparse.coo_array((w[a:b], (i[a:b], j[a:b])), shape=(n, n))
-                      .tocsr() for a, b in itertools.pairwise(cuts))
+                      for a, b in itertools.pairwise(cuts))
     graph = TimeEvolvingGraph(n=n, M=M, snapshots=snapshots, directed=directed)
 
     labels = doc.get("labels")

@@ -147,32 +147,25 @@ def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
 
 
 def _fix_signs(vecs):
-    """Flip eigenvector columns so the first non-negligible entry is positive."""
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        if nz.size and v[nz[0]] < 0:
-            vecs[:, j] = -v
+    """Flip eigenvector columns in place so that each column's first entry
+    above 1e-12 times its largest magnitude is positive."""
+    mag = np.abs(vecs)
+    above = mag > 1e-12 * mag.max(axis=0)
+    first, cols = above.argmax(axis=0), np.arange(vecs.shape[1])
+    flip = above[first, cols] & (vecs[first, cols] < 0)
+    vecs[:, flip] = -vecs[:, flip]
     return vecs
 
 
-def _order_eigenpairs(vals, vecs, descending):
-    """Sort by eigenvalue, breaking exact ties lexicographically.
-
-    Returns the sorted eigenpairs and the column permutation applied.
-    """
-    vecs = _fix_signs(vecs)
+def eigenpair_order(vals, vecs, *, descending=False):
+    """The permutation that sorts eigenpairs by eigenvalue, stably, with a
+    run of exactly equal eigenvalues ordered by its columns as tuples, so
+    the order does not depend on the order in which the pairs arrive."""
     order = np.argsort(-vals if descending else vals, kind="stable")
-    sorted_vals = vals[order]
-    i = 0
-    while i < len(order):
-        j = i + 1
-        while j < len(order) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda c: tuple(vecs[:, c]))
-        i = j
-    return vals[order], vecs[:, order], order
+    ranked = vals[order]
+    runs = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+    return np.concatenate([run if len(run) < 2 else run[np.lexsort(vecs[::-1, run])]
+                           for run in runs])
 
 
 def _solved_densely(N, k):
@@ -183,13 +176,14 @@ def _solved_densely(N, k):
 
 
 def symmetric_eigenpairs(H, k, *, largest=True):
-    """The k extreme eigenpairs of a symmetric matrix, deterministically ordered.
+    """The k extreme eigenpairs of a symmetric matrix, sign-fixed.
 
     Dense decomposition where ``_solved_densely`` holds; otherwise restarted
     Lanczos from seeded starting and restart vectors with a basis of
     max(3k, 20) vectors. A ``LinearOperator`` H can only be applied, so it
-    always takes Lanczos and needs k < N. Largest mode returns eigenvalues
-    descending, smallest mode ascending.
+    always takes Lanczos and needs k < N. Eigenvalues come ascending, as the
+    solvers return them, and each eigenvector's first non-negligible entry
+    is positive; callers order the pairs with ``eigenpair_order``.
     """
     N = H.shape[0]
     k = min(k, N)
@@ -210,8 +204,7 @@ def symmetric_eigenpairs(H, k, *, largest=True):
                 f"Lanczos iteration converged {len(err.eigenvalues)} of {k} "
                 f"eigenpairs", converged=len(err.eigenvalues), requested=k,
             ) from err
-    vals, vecs, _ = _order_eigenpairs(vals, vecs, descending=largest)
-    return vals, vecs
+    return vals, _fix_signs(vecs)
 
 
 def _coupling_eigenpairs(system, k, Q, T):
@@ -226,7 +219,8 @@ def _coupling_eigenpairs(system, k, Q, T):
     lifts to the null vector [0; v] of H, eigenvalue 0, which is orthogonal
     to the other lifts because V is orthonormal. A lifted pair with
     residual ||Hy - sy|| or orthonormality error above 1e-8, or NaN, raises
-    ConvergenceFailure.
+    ConvergenceFailure. Lifts are sign-fixed like V, whose own fix keeps the
+    zero even-view entries of a null lift +0.0.
     """
     n, M = system.n, system.M
     X = system.coupling()
@@ -259,7 +253,7 @@ def _coupling_eigenpairs(system, k, Q, T):
     Y = np.empty((M, n, k))
     Y[0::2] = U.reshape(-1, n, k)
     Y[1::2] = V.reshape(-1, n, k)
-    return s, Y.reshape(M * n, k)
+    return s, _fix_signs(Y.reshape(M * n, k))
 
 
 def eigendecompose(system: SpatioTemporalSystem, k_request, *,
@@ -303,15 +297,13 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
         for u, v in zip(*np.nonzero(S)):
             blocks[u, :, v] -= np.outer(q[u] * S[u, v], q[v])
         spatial_vals, spatial_vecs = symmetric_eigenpairs(H, j)
-    vals, vecs, order = _order_eigenpairs(
-        np.concatenate([np.cos(theta), spatial_vals]),
-        np.hstack([Q @ coef, spatial_vecs]), descending=True)
-    vals, vecs, order = vals[:k_request], vecs[:, :k_request], order[:k_request]
+    vals = np.concatenate([np.cos(theta), spatial_vals])
+    vecs = np.hstack([Q @ coef, spatial_vecs])
+    order = eigenpair_order(vals, vecs, descending=True)[:k_request]
     if not full_spectrum:
-        keep = vals >= NEGATIVE_EIG_CUTOFF
-        vals, vecs, order = vals[keep], vecs[:, keep], order[keep]
-    vecs = vecs / np.sqrt(system.B_diag)[:, None]
+        order = order[vals[order] >= NEGATIVE_EIG_CUTOFF]
     kinds = ("constant",) + ("temporal",) * (M - 1) + ("spatial",) * len(spatial_vals)
-    tags = tuple(kinds[c] for c in order)
-    return SpectralEmbedding(n=system.n, M=system.M, eigenvalues=vals,
-                             vectors=vecs, tags=tags)
+    return SpectralEmbedding(
+        n=system.n, M=system.M, eigenvalues=vals[order],
+        vectors=vecs[:, order] / np.sqrt(system.B_diag)[:, None],
+        tags=tuple(kinds[c] for c in order))

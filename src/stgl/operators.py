@@ -25,7 +25,8 @@ class OperatorSequence:
 
     ``transitions[t]`` is a nonnegative, row-stochastic ``csr_array`` and
     ``densities[t]`` strictly positive with unit sum;
-    ``densities[t + 1] = S_t^T densities[t]``.
+    ``densities[t + 1] = S_t^T densities[t]``. A CSR transition matrix is
+    stored with the caller's arrays, not a copy of them.
     """
 
     transitions: tuple = field(repr=False)

@@ -28,7 +28,7 @@ from scipy import sparse
 from .clustering import ClusteringResult, kmeans, select_spatial
 from .errors import DirectedInput
 from .graph import TimeEvolvingGraph
-from .laplacian import symmetric_eigenpairs, view_weights
+from .laplacian import eigenpair_order, symmetric_eigenpairs, view_weights
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -98,11 +98,10 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
     eye = sparse.identity(n, format="csr")
 
     def view(t):
-        """View t's rows as they enter W: sorted, and for the normalized
-        variant self-looped by the sum W + I that ``propagate_densities``
-        takes."""
+        """View t's rows as they enter W: the graph stores them sorted, and
+        the normalized variant self-loops them by the sum W + I that
+        ``propagate_densities`` takes."""
         V = graph.snapshots[t]
-        V = V if V.has_sorted_indices else V.sorted_indices()
         return sparse.csr_array(V + eye) if normalized else V
 
     # the coupling degree of a vertex: 1 at an end view, 2 in between; a row
@@ -169,9 +168,10 @@ def classify_folded(folded):
 
 
 def supra_spectrum(system: SupraSystem, j):
-    """The j smallest eigenpairs of L_S, eigenvalues ascending."""
+    """The j smallest eigenpairs of L_S, ascending by ``eigenpair_order``."""
     vals, vecs = symmetric_eigenpairs(system.H, j, largest=False)
-    return vals, vecs * system.scale[:, None]
+    order = eigenpair_order(vals, vecs)
+    return vals[order], vecs[:, order] * system.scale[:, None]
 
 
 def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,

@@ -71,11 +71,20 @@ def _runs():
     for name in LOADER_INPUTS:
         runs.append((f"cluster-{name}", ["cluster", "--input",
                                          f"../../inputs/{name}.json", "--k", "2"]))
+    # without self-loops, and a spectrum solved on the view coupling
+    runs.append(("cluster-benchmark2-no-self-loops",
+                 ["cluster", "--generator", "benchmark2", "--k", "4",
+                  "--no-self-loops", "--export-vectors"]))
     runs.append(("spectrum-linegraph",
                  ["spectrum", "--generator", "linegraph", "--j", "24",
                   "--full-spectrum", "--export-vectors"]))
+    runs.append(("spectrum-benchmark1",
+                 ["spectrum", "--generator", "benchmark1", "--j", "20",
+                  "--export-vectors"]))
     for seed in range(3):
         runs.append((f"gyre-{seed}", ["gyre", "--views", "7", "--gen-seed", str(seed)]))
+    # M = 2: a view coupling of one block
+    runs.append(("gyre-two-views", ["gyre", "--views", "2"]))
     for name in ("planted", "benchmark1", "benchmark2"):
         runs.append((f"baseline-{name}",
                      ["baseline", "--generator", name, "--k", str(GENERATORS[name]),

@@ -75,6 +75,22 @@ class TestTimeEvolvingGraph:
         assert all(S.nnz == 2 for S in g.snapshots)
         np.testing.assert_array_equal(g.snapshots[0].toarray(), [[0.0, 1.0], [2.0, 0.0]])
 
+    def test_later_writes_to_the_caller_arrays_miss_the_graph(self):
+        W = sparse.csr_array([[0.0, 1.0], [1.0, 0.0]])
+        g = TimeEvolvingGraph(n=2, M=2, snapshots=(W, W))
+        W.data[0], W.indices[1] = -5.0, 1
+        for S in g.snapshots:
+            np.testing.assert_array_equal(S.toarray(), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_unsorted_rows_are_stored_sorted(self):
+        W = sparse.csr_array((np.array([2.0, 1.0, 3.0]), np.array([1, 0, 0]),
+                              np.array([0, 2, 3])), shape=(2, 2))
+        g = TimeEvolvingGraph(n=2, M=2, snapshots=(W, W), directed=True)
+        for S in g.snapshots:
+            assert S.indices.tolist() == [0, 1, 0] and S.data.tolist() == [1.0, 2.0, 3.0]
+            assert S.has_sorted_indices
+        assert W.indices.tolist() == [1, 0, 0]
+
     def test_edge_arrays_undirected_once(self):
         g = gen_line_graph()
         t, i, j, w = g.edge_arrays()

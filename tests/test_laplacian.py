@@ -11,12 +11,13 @@ from stgl import (ConvergenceFailure, TimeEvolvingGraph, ZeroOutDegree,
                   gen_benchmark1, gen_benchmark2, gen_line_graph, kmeans,
                   laplacian, propagate_densities, select_spatial,
                   spectral_cluster, static_blocks)
-from stgl.laplacian import symmetric_eigenpairs
+from stgl.laplacian import eigenpair_order, symmetric_eigenpairs
 from stgl.supra import classify_folded
 
 from util import (arpack_two_converged, build_system, clique_coupling_graph,
-                  random_teg, rank_one_coupling_graph, reference_coupling,
-                  reference_eigendecompose, reference_symmetrized,
+                  fix_signs_by_column, random_teg, rank_one_coupling_graph,
+                  reference_coupling, reference_eigendecompose,
+                  reference_symmetrized, solver_side_sort, sort_eigenpairs_by_loop,
                   sparse_symmetrized, system_A, system_C, transfer_operator_C)
 
 
@@ -283,6 +284,58 @@ class TestEigendecompose:
         assert err.value.requested == 7
 
 
+class TestEigenpairOrder:
+    @pytest.mark.parametrize("largest", [True, False], ids=["largest", "smallest"])
+    @pytest.mark.parametrize("cutoff", [laplacian.DENSE_EIG_CUTOFF, 1],
+                             ids=["dense", "lanczos"])
+    def test_solver_returns_ascending_sign_fixed_pairs(self, largest, cutoff,
+                                                       monkeypatch, lanczos_calls):
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", cutoff)
+        for seed in range(10):
+            H = build_system(random_teg(seed, n_max=30)).symmetrized()
+            N = H.shape[0]
+            k = max(1, N // 4)  # 3k < N: a cutoff of 1 takes Lanczos
+            vals, vecs = symmetric_eigenpairs(H, k, largest=largest)
+            assert np.all(np.diff(vals) >= 0)
+            exact = np.linalg.eigvalsh(H)
+            np.testing.assert_allclose(vals, exact[N - k:] if largest else exact[:k],
+                                       rtol=0, atol=1e-10)
+            mag = np.abs(vecs)
+            first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+            assert np.all(vecs[first, np.arange(k)] > 0)
+        assert len(lanczos_calls) == (10 if cutoff == 1 else 0)
+
+    def test_sign_fix_matches_the_column_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            vecs = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.6)
+            vecs[:, 1] = 0.0  # no entry counts
+            vecs[:, 2] = -0.0
+            vecs[0, 3] = -1e-14 * np.abs(vecs[:, 3]).max()  # below the threshold
+            vecs[4, 4] = np.nan  # a NaN maximum: no entry counts
+            vecs[5, 5] = -np.inf  # an infinite maximum: no entry counts
+            vecs[:2, 6] = [-0.0, 0.0]
+            got = laplacian._fix_signs(vecs.copy())
+            assert got.tobytes() == fix_signs_by_column(vecs.copy()).tobytes()
+
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_order_matches_the_loop_in_any_arrival_order(self, descending):
+        rng = np.random.default_rng(1)
+        vals = np.array([0.5, 1.0, 0.5, np.inf, -0.0, 0.0, 0.5, np.nan, 1.0, np.inf])
+        vecs = rng.standard_normal((4, len(vals)))
+        vecs[0, [0, 2]] = 0.25  # a tie the second row decides
+        want = None
+        for _ in range(30):
+            perm = rng.permutation(len(vals))
+            v, V = vals[perm], vecs[:, perm]
+            order = eigenpair_order(v, V, descending=descending)
+            got = v[order].tobytes(), V[:, order].tobytes()
+            ref_vals, ref_vecs = sort_eigenpairs_by_loop(v, V, descending)
+            assert got == (ref_vals.tobytes(), ref_vecs.tobytes())
+            assert want in (None, got)
+            want = got
+
+
 class TestTemporalDeflation:
     def test_per_view_constants_are_invariant(self):
         # H Q = Q T holds exactly, and T carries the closed-form temporal
@@ -378,6 +431,44 @@ class TestDenseSymmetrized:
             assert np.array_equal(emb.eigenvalues, ref.eigenvalues)
             assert np.array_equal(emb.vectors, ref.vectors)
             assert emb.tags == ref.tags
+
+
+def embedding_bytes(system, k_request, full_spectrum):
+    emb = eigendecompose(system, min(k_request, system.size),
+                         full_spectrum=full_spectrum)
+    return emb.eigenvalues.tobytes(), emb.vectors.tobytes(), emb.tags
+
+
+class TestOrderedOnce:
+    """Sorting every solve at the solver as well changes no output bit."""
+
+    @pytest.mark.parametrize("cutoff", [laplacian.DENSE_EIG_CUTOFF, 1],
+                             ids=["default-cutoff", "coupling-route"])
+    def test_random_graphs(self, symmetrized_systems, cutoff, monkeypatch):
+        monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", cutoff)
+        for system in symmetrized_systems:
+            for k, full in ((12, True), (12, False), (30, True)):
+                got = embedding_bytes(system, k, full)
+                with solver_side_sort():
+                    assert embedding_bytes(system, k, full) == got
+
+    @pytest.mark.parametrize("graph, self_loops, cutoff", [
+        (lambda: gen_benchmark1(0)[0], True, None),
+        (lambda: gen_benchmark1(3)[0], True, None),
+        (lambda: gen_benchmark2(0)[0], True, None),
+        (lambda: clique_coupling_graph()[0], True, None),
+        (rank_one_coupling_graph, False, 1),
+        (rank_one_coupling_graph, True, 1),
+    ], ids=["benchmark1-0", "benchmark1-3", "benchmark2", "clique",
+            "rank-one", "rank-one-self-loops"])
+    def test_named_graphs(self, graph, self_loops, cutoff, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr(laplacian, "DENSE_EIG_CUTOFF", cutoff)
+        system = build_system(graph(), self_loops=self_loops)
+        for k, full in ((4, False), (12, True), (12, False), (30, True)):
+            got = embedding_bytes(system, k, full)
+            with solver_side_sort():
+                assert embedding_bytes(system, k, full) == got
 
 
 def even_views_first(system):
@@ -496,6 +587,14 @@ class TestCouplingRoute:
         assert emb.tags == ("constant", "spatial", "spatial", "spatial")
         np.testing.assert_array_equal(emb.eigenvalues, [1.0, 0.0, 0.0, 0.0])
         assert not emb.folded[1:, 0].any()
+
+    def test_null_lifts_keep_positive_zeros(self):
+        # the Gram vectors are sign-fixed before the lift, so the second fix
+        # never flips a null vector [0; v] and its even view stays +0.0
+        emb = eigendecompose(build_system(clique_coupling_graph()[0]), 8)
+        even = emb.folded[emb.eigenvalues == 0.0][:, 0]
+        assert len(even) == 5 and not even.any()
+        assert not np.signbit(even).any()
 
     def test_inaccurate_lifts_are_refused(self, monkeypatch):
         # Gram pairs claimed near 0 on vectors X does not annihilate, or NaN,

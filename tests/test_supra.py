@@ -7,10 +7,11 @@ from scipy.linalg import eigvalsh
 from stgl import (DirectedInput, InsufficientSpatialEigenvectors,
                   TimeEvolvingGraph, build_supra, gen_benchmark1, static_blocks,
                   supra, supra_cluster, symmetrize)
-from stgl.supra import classify_folded
+from stgl.supra import VARIANTS, classify_folded, supra_spectrum
 
 from util import (random_teg, reference_build_supra,
-                  reference_random_walk_laplacian, supra_laplacian)
+                  reference_random_walk_laplacian, solver_side_sort,
+                  supra_laplacian)
 
 
 def undirected_teg(seed, **kwargs):
@@ -34,14 +35,15 @@ class TestSymmetrize:
 
 
 def unsorted_rows_graph():
-    """A two-view graph whose first snapshot stores each row's indices in
-    descending order."""
+    """A two-view graph built from a first snapshot that stores each row's
+    indices in descending order."""
     W = undirected_teg(1, n_max=12).snapshots[0]
     for r in range(W.shape[0]):
         row = slice(W.indptr[r], W.indptr[r + 1])
         W.indices[row], W.data[row] = W.indices[row][::-1], W.data[row][::-1]
     g = TimeEvolvingGraph(n=W.shape[0], M=2, snapshots=(W, W.toarray()))
-    assert not g.snapshots[0].has_sorted_indices
+    assert g.snapshots[0].has_sorted_indices
+    assert not np.array_equal(g.snapshots[0].indices, W.indices)
     return g
 
 
@@ -245,3 +247,19 @@ class TestOnePass:
         with pytest.raises(InsufficientSpatialEigenvectors):
             supra_cluster(system, 4)
         assert len(spectrum_calls) == 1
+
+
+class TestSpectrumOrderedOnce:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("graph", [lambda: gen_benchmark1(0)[0],
+                                       lambda: static_blocks(seed=0)[0]],
+                             ids=["benchmark1", "planted"])
+    def test_bitwise_equal_to_solver_side_sort(self, graph, variant):
+        # sorting every solve at the solver as well changes no output bit
+        g = graph()
+        for a in (0.0, 1e-4, 0.05, 10.0):
+            system = build_supra(g, a, variant)
+            j = 3 + g.M + 3  # the solve of supra_cluster at k = 3
+            got = [x.tobytes() for x in supra_spectrum(system, j)]
+            with solver_side_sort():
+                assert [x.tobytes() for x in supra_spectrum(system, j)] == got

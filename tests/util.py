@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import contextlib
 import json
 import math
 from unittest import mock
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 import stgl.io as stgl_io
 from stgl import (DirectedInput, GraphFormatError, TimeEvolvingGraph,
-                  assemble_system, laplacian, propagate_densities)
+                  assemble_system, laplacian, propagate_densities, supra)
 from stgl.laplacian import symmetric_eigenpairs
 from stgl.supra import VARIANTS, SupraSystem
 
@@ -272,6 +273,53 @@ def arpack_two_converged(A, k, **kwargs):
     """Stands in for ``eigsh``: fails with two converged eigenpairs."""
     N = A.shape[0]
     raise ArpackNoConvergence("no convergence", np.zeros(2), np.zeros((N, 2)))
+
+
+def fix_signs_by_column(vecs):
+    """``laplacian._fix_signs`` as a Python loop over the columns: flip a
+    column whose first entry above 1e-12 times its largest magnitude is
+    negative."""
+    for j in range(vecs.shape[1]):
+        v = vecs[:, j]
+        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
+        if nz.size and v[nz[0]] < 0:
+            vecs[:, j] = -v
+    return vecs
+
+
+def sort_eigenpairs_by_loop(vals, vecs, descending):
+    """Eigenpairs sorted by a stable sort of the values, each run of exactly
+    equal values ordered by ``sorted`` on its column tuples."""
+    order = np.argsort(-vals if descending else vals, kind="stable")
+    sorted_vals = vals[order]
+    i = 0
+    while i < len(order):
+        j = i + 1
+        while j < len(order) and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        if j - i > 1:
+            order[i:j] = sorted(order[i:j], key=lambda c: tuple(vecs[:, c]))
+        i = j
+    return vals[order], vecs[:, order]
+
+
+def solver_sorted_eigenpairs(H, k, *, largest=True):
+    """``symmetric_eigenpairs`` that sorts its own pairs: eigenvalues
+    descending in largest mode, ascending in smallest."""
+    vals, vecs = symmetric_eigenpairs(H, k, largest=largest)
+    return sort_eigenpairs_by_loop(vals, vecs, largest)
+
+
+@contextlib.contextmanager
+def solver_side_sort():
+    """Within the block every solve of ``laplacian`` and ``supra`` sorts its
+    pairs at the solver, and every sign is fixed by ``fix_signs_by_column``.
+    The pairs are ordered again where they are final, so no output bit may
+    change."""
+    with (mock.patch.object(laplacian, "_fix_signs", fix_signs_by_column),
+          mock.patch.object(laplacian, "symmetric_eigenpairs", solver_sorted_eigenpairs),
+          mock.patch.object(supra, "symmetric_eigenpairs", solver_sorted_eigenpairs)):
+        yield
 
 
 def reference_eigendecompose(system, k_request):
