@@ -107,6 +107,8 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     points = np.asarray(points, dtype=float)
     if restarts < 1:
         raise ValueError(f"need at least one k-means restart, got {restarts}")
+    if views < 1:
+        raise ValueError(f"need at least one view, got {views}")
     if k < 1 or len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     n = len(points) // views
@@ -164,9 +166,12 @@ class PipelineResult:
 
 
 def score_against(labels, truth):
-    """Per-view ARI of a label array against a ground-truth array."""
+    """Per-view ARI of a label array against a ground-truth array of the
+    same shape."""
     labels = np.asarray(labels)
     truth = np.asarray(truth)
+    if truth.shape != labels.shape:
+        raise ValueError(f"truth has shape {truth.shape}, labels {labels.shape}")
     return tuple(adjusted_rand_index(labels[t], truth[t])
                  for t in range(labels.shape[0]))
 

@@ -11,7 +11,7 @@ from .errors import GraphFormatError
 
 
 def _as_csr(W, n):
-    A = sparse.csr_array(W, copy=True)
+    A = sparse.csr_array(W, dtype=np.float64, copy=True)
     if A.shape != (n, n):
         raise GraphFormatError(f"snapshot has shape {A.shape}, expected {(n, n)}")
     if not np.isfinite(A.data).all():
@@ -33,8 +33,9 @@ class TimeEvolvingGraph:
     Vertices are indexed 0..n-1 and views 1..M (stored 0-based in
     ``snapshots``). Entry (i, j) of a snapshot is the weight of the edge
     i -> j at that view; for undirected graphs every snapshot is symmetric.
-    Each snapshot is stored as a zero-free ``csr_array`` with sorted
-    indices, in arrays of the graph's own, not the caller's.
+    Each snapshot is stored as a zero-free float64 ``csr_array`` with
+    sorted indices, in arrays of the graph's own, not the caller's; every
+    matrix the pipeline derives from it keeps that index order.
     """
 
     n: int
@@ -71,4 +72,4 @@ class TimeEvolvingGraph:
         i, j, w = (np.concatenate([getattr(coo, name) for coo in coos])
                    for name in ("row", "col", "data"))
         keep = slice(None) if self.directed else i <= j
-        return t[keep], i[keep], j[keep], w[keep].astype(float)
+        return t[keep], i[keep], j[keep], w[keep]

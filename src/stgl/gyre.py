@@ -166,8 +166,8 @@ def integrate_rk4(state, t0, t1, h, params: GyreParams, field=None,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    if not np.isfinite(noise):
-        raise ValueError(f"noise must be finite, got {noise}")
+    if not 0 <= noise < np.inf:  # written so that NaN fails it
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     if noise and rng is None:
         raise ValueError("a noisy integration needs a random generator")
     steps = int(round((t1 - t0) / h))
@@ -260,8 +260,7 @@ def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0):
     params = params or GyreParams()
 
     def view(t):
-        return ulam_counts(grid, params, float(t), seed,
-                           noise=DEFAULT_GYRE_NOISE).astype(float)
+        return ulam_counts(grid, params, float(t), seed, noise=DEFAULT_GYRE_NOISE)
 
     # Two views in flight at most, the only count measured. The calling thread
     # builds every other view: memory a pool thread frees stays in that

@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceFailure
-from .operators import OperatorSequence
+from .operators import OperatorSequence, scale_rows
 
 # Largest system solved by a full dense symmetric decomposition; beyond this
 # a restarted Lanczos iteration is used. Read at call time. The two solvers
@@ -87,9 +87,10 @@ class SpatioTemporalSystem:
         for t, cross in enumerate(self.cross):
             blocks[(t + 1) // 2][t // 2] = cross.T if t % 2 else cross
         d = (1.0 / np.sqrt(self.B_diag)).reshape(self.M, self.n)
-        return sparse.csr_array(sparse.diags_array(d[0::2].ravel())
-                                @ sparse.block_array(blocks, format="csr")
-                                @ sparse.diags_array(d[1::2].ravel()))
+        X = scale_rows(d[0::2].ravel(), sparse.block_array(blocks, format="csr"))
+        # every factor is at least 1 / sqrt(2), so no product underflows to 0
+        X.data *= d[1::2].ravel()[X.indices]
+        return X
 
     def temporal_basis(self):
         """Per-view constants in symmetric form: (Q, T) with H Q = Q T.
@@ -140,8 +141,7 @@ def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
     """Build the cross blocks D_{mu_t} S_t and the diagonal of B from the
     per-view operators."""
     mus = ops.densities
-    cross = tuple(sparse.csr_array(sparse.diags_array(mu) @ S)
-                  for mu, S in zip(mus[:-1], ops.transitions))
+    cross = tuple(scale_rows(mu, S) for mu, S in zip(mus[:-1], ops.transitions))
     B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(ops.M), mus)])
     return SpatioTemporalSystem(n=ops.n, M=ops.M, cross=cross, B_diag=B_diag)
 

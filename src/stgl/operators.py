@@ -25,16 +25,18 @@ class OperatorSequence:
 
     ``transitions[t]`` is a nonnegative, row-stochastic ``csr_array`` and
     ``densities[t]`` strictly positive with unit sum;
-    ``densities[t + 1] = S_t^T densities[t]``. A CSR transition matrix is
-    stored with the caller's arrays, not a copy of them.
+    ``densities[t + 1] = S_t^T densities[t]``. Every transition matrix is
+    stored with sorted indices: a sorted CSR matrix with the caller's
+    arrays, an unsorted one as a sorted copy.
     """
 
     transitions: tuple = field(repr=False)
     densities: tuple = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions",
-                           tuple(sparse.csr_array(S) for S in self.transitions))
+        csrs = (sparse.csr_array(S) for S in self.transitions)
+        object.__setattr__(self, "transitions", tuple(
+            S if S.has_sorted_indices else S.sorted_indices() for S in csrs))
         object.__setattr__(self, "densities",
                            tuple(np.asarray(mu, dtype=float) for mu in self.densities))
         if len(self.densities) != len(self.transitions):
@@ -64,7 +66,8 @@ class OperatorSequence:
 
 
 def row_normalize(W):
-    """Divide each row of a nonnegative sparse matrix by its out-degree.
+    """Divide each row of a nonnegative sparse matrix by its out-degree,
+    keeping the matrix's index order.
 
     Raises ZeroOutDegree for any empty row; callers regularize first
     (see ``propagate_densities`` self-loop handling).
@@ -74,7 +77,16 @@ def row_normalize(W):
     zero = np.flatnonzero(degrees <= 0)
     if zero.size:
         raise ZeroOutDegree(int(zero[0]))
-    return sparse.csr_array(sparse.diags_array(1.0 / degrees) @ W)
+    return scale_rows(1.0 / degrees, W)
+
+
+def scale_rows(factors, W):
+    """diag(factors) @ W for a CSR matrix W, in W's index order and without
+    the zeros an underflow leaves; W itself is not changed."""
+    S = sparse.csr_array((W.data * np.repeat(factors, np.diff(W.indptr)),
+                          W.indices.copy(), W.indptr.copy()), shape=W.shape)
+    S.eliminate_zeros()
+    return S
 
 
 def propagate_densities(graph: TimeEvolvingGraph, *,

@@ -12,13 +12,17 @@ def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
 
     Returns the (walkers, M) integer array of visited vertices. The
     position at view t+1 is drawn from row ``paths[i, t]`` of S_t by
-    inverting the row's CDF at one uniform, which picks the same column as
-    ``Generator.choice(n, p=row)``. Walker i draws its M - 1 uniforms from
-    seed (seed, i), so results do not depend on scheduling or batch
-    splitting.
+    inverting the row's CDF at one uniform; ``OperatorSequence`` stores the
+    rows sorted, so the CDF runs over the columns in order and picks the
+    same column as ``Generator.choice(n, p=row)``. Walker i draws its M - 1
+    uniforms from seed (seed, i), so results do not depend on scheduling or
+    batch splitting. ``starts`` must be a sequence of integer vertices.
     """
     n, M = ops.n, ops.M
-    starts = np.asarray(starts, dtype=np.intp)
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.size and starts.dtype.kind not in "iu":
+        raise ValueError(f"starts must be a sequence of integer vertices, "
+                         f"got a {starts.ndim}-d {starts.dtype} array")
     bad = np.flatnonzero((starts < 0) | (starts >= n))
     if bad.size:
         raise ValueError(f"start vertex {starts[bad[0]]} out of range [0, {n})")
@@ -27,8 +31,6 @@ def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
     paths = np.empty((len(starts), M), dtype=np.intp)
     paths[:, 0] = starts
     for t, S in enumerate(ops.transitions[:-1]):
-        # the CDF must run over the columns in order, as the dense row does
-        S = S.sorted_indices()
         order = np.argsort(paths[:, t])
         rows, first = np.unique(paths[order, t], return_index=True)
         for r, walkers in zip(rows, np.split(order, first[1:])):
@@ -40,6 +42,16 @@ def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
     return paths
 
 
+def _checked_paths(paths):
+    paths = np.asarray(paths)
+    if paths.ndim != 2:
+        raise ValueError(f"paths must be a (walkers, views) array, "
+                         f"got {paths.ndim} dimensions")
+    if not len(paths):
+        raise ValueError("need at least one walker")
+    return paths
+
+
 def escape_rate(paths, set_per_view) -> float:
     """Fraction of walkers that leave the designated vertex set at any view.
 
@@ -47,8 +59,7 @@ def escape_rate(paths, set_per_view) -> float:
     ``set_per_view`` is either a single collection of vertices (used for
     all views) or one collection per view.
     """
-    if not len(paths):
-        raise ValueError("need at least one walker")
+    paths = _checked_paths(paths)
     M = paths.shape[1]
     sets = list(set_per_view)
     if sets and isinstance(sets[0], (set, frozenset, list, tuple, np.ndarray)):
@@ -63,6 +74,6 @@ def escape_rate(paths, set_per_view) -> float:
 
 def occupancy(paths, vertex_set) -> np.ndarray:
     """Per-view fraction of walkers inside ``vertex_set``."""
-    if not len(paths):
-        raise ValueError("need at least one walker")
+    paths = _checked_paths(paths)
     return np.isin(paths, [int(v) for v in vertex_set]).sum(axis=0) / len(paths)
+

@@ -98,6 +98,14 @@ def _runs():
                   "--a-grid", "0,0.05,10"]))
     runs.append(("walk-linegraph", ["walk", "--generator", "linegraph",
                                     "--vertices", "4,5", "--walkers", "1000"]))
+    # walks from the planted cluster 200-299, over rows of many columns
+    cluster = ",".join(str(v) for v in range(200, 300))
+    for name, generator, extra in (("walk-benchmark1", "benchmark1", []),
+                                   ("walk-benchmark2", "benchmark2", []),
+                                   ("walk-benchmark1-no-self-loops", "benchmark1",
+                                    ["--no-self-loops"])):
+        runs.append((name, ["walk", "--generator", generator, "--vertices", cluster,
+                            "--walkers", "3000", *extra]))
     runs = [(name, argv + ["--out", f"runs/{name}"]) for name, argv in runs]
 
     runs.append(("help", ["--help"]))

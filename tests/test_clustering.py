@@ -128,6 +128,10 @@ class TestKmeans:
         with pytest.raises(ValueError, match="at least one k-means restart, got 0"):
             kmeans(np.zeros((4, 2)), 2, restarts=0)
 
+    def test_zero_views_rejected(self):
+        with pytest.raises(ValueError, match="at least one view, got 0"):
+            kmeans(np.zeros((4, 2)), 2, views=0)
+
     def test_identical_rows(self):
         # k-means++ finds no spread to weight its draws by, and every
         # cluster but the first comes out empty and is repaired
@@ -247,6 +251,12 @@ class TestPipeline:
         labels = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
         truth = np.array([[1, 1, 0, 0], [1, 1, 0, 0]])
         assert score_against(labels, truth) == (1.0, 1.0)
+
+    def test_truth_of_another_shape_rejected(self):
+        graph, truth = static_blocks(seed=0)
+        extra_view = np.vstack([truth, truth[:1]])
+        with pytest.raises(ValueError, match=r"truth has shape \(4, 30\), labels \(3, 30\)"):
+            spectral_cluster(graph, 2, truth=extra_view)
 
     def test_growing_eigenvector_request(self):
         # three clusters need two eigenvectors beyond the constant one

@@ -236,6 +236,11 @@ class TestUlam:
         rows = np.asarray(counts.sum(axis=1)).ravel()
         np.testing.assert_array_equal(rows, grid.particles_per_box)
 
+    def test_negative_noise_rejected(self):
+        grid = UlamGrid(nx=4, ny=2, particles_per_box=2, step=0.25)
+        with pytest.raises(ValueError, match="noise must be finite and nonnegative, got -0.1"):
+            ulam_counts(grid, GyreParams(), 0.0, seed=0, noise=-0.1)
+
     def test_zero_field_gives_identity(self):
         grid = UlamGrid(nx=8, ny=4, particles_per_box=10, step=0.25)
         counts = ulam_counts(grid, GyreParams(), 0.0, seed=1, field=zero_field)

@@ -6,9 +6,11 @@ from scipy import sparse
 
 from stgl import (DensityVanished, OperatorSequence, TimeEvolvingGraph,
                   ZeroOutDegree, gen_benchmark1, gen_benchmark2, gen_line_graph,
-                  propagate_densities, row_normalize)
+                  propagate_densities, row_normalize, spectral_cluster,
+                  static_blocks)
+from stgl.operators import scale_rows
 
-from util import random_teg, with_self_loops
+from util import random_teg, reverse_rows, with_self_loops
 
 
 class TestRowNormalize:
@@ -115,6 +117,23 @@ class TestPropagateDensities:
                     mu = row_normalize(looped.snapshots[t - 1]).T @ mu
                 assert density.tobytes() == mu.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_weights_of_any_dtype_are_stored_as_float64(self, dtype):
+        base, _ = static_blocks(seed=0)
+        weights = [(4 * W).ceil() if dtype == np.int64 else W
+                   for W in base.snapshots]
+        g = TimeEvolvingGraph(n=base.n, M=base.M, snapshots=tuple(
+            W.astype(dtype) for W in weights))
+        as_float64 = TimeEvolvingGraph(n=g.n, M=g.M, snapshots=tuple(
+            W.astype(dtype).astype(np.float64) for W in weights))
+        assert all(W.dtype == np.float64 for W in g.snapshots)
+        for self_loops in (True, False):
+            got = spectral_cluster(g, 2, self_loops=self_loops)
+            want = spectral_cluster(as_float64, 2, self_loops=self_loops)
+            assert np.array_equal(got.clustering.labels, want.clustering.labels)
+            assert got.embedding.eigenvalues.tobytes() == want.embedding.eigenvalues.tobytes()
+            assert got.embedding.vectors.tobytes() == want.embedding.vectors.tobytes()
+
     def test_zero_out_degree_reports_view(self):
         W1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         W2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -122,6 +141,27 @@ class TestPropagateDensities:
         with pytest.raises(ZeroOutDegree) as err:
             propagate_densities(g, self_loops=False)
         assert err.value.view == 2
+
+
+class TestScaleRows:
+    def test_leaves_its_input_unchanged(self):
+        W = gen_benchmark2(0)[0].snapshots[0]
+        # row 0 scaled to zero: its entries are dropped
+        factors = np.linspace(1.0, 2.0, W.shape[0])
+        factors[0] = 0.0
+        before = [getattr(W, name).copy() for name in ("data", "indices", "indptr")]
+        S = scale_rows(factors, W)
+        for name, kept in zip(("data", "indices", "indptr"), before):
+            assert getattr(W, name).tobytes() == kept.tobytes()
+        assert S.indptr[1] == 0
+        assert np.array_equal(S.toarray(), factors[:, None] * W.toarray())
+
+    def test_keeps_the_index_order(self):
+        W = sparse.csr_array((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]),
+                              np.array([0, 3, 3, 3])), shape=(3, 3))
+        S = scale_rows(np.array([0.5, 1.0, 1.0]), W)
+        assert S.indices.tolist() == [2, 0, 1]
+        assert S.data.tolist() == [0.5, 1.0, 1.5]
 
 
 class TestOperatorSequenceValidation:
@@ -159,6 +199,22 @@ class TestOperatorSequenceValidation:
         with pytest.raises(ValueError, match="transition matrix at view 1 has "
                                              "negative entries"):
             OperatorSequence(transitions=(S, np.eye(2)), densities=(mu, S.T @ mu))
+
+    def test_rows_stored_sorted_without_sorting_the_callers_arrays(self):
+        ops = propagate_densities(gen_benchmark1(0)[0])
+        assert all(S.has_sorted_indices for S in ops.transitions)
+        reversed_rows = [reverse_rows(S) for S in ops.transitions]
+        again = OperatorSequence(transitions=tuple(reversed_rows),
+                                 densities=ops.densities)
+        for S, R, kept in zip(again.transitions, reversed_rows, ops.transitions):
+            assert S.has_sorted_indices and S.indices is not R.indices
+            assert not np.array_equal(R.indices, kept.indices)
+            assert S.indices.tobytes() == kept.indices.tobytes()
+            assert S.data.tobytes() == kept.data.tobytes()
+        # a sorted matrix is kept with its arrays
+        kept = OperatorSequence(transitions=ops.transitions, densities=ops.densities)
+        assert all(np.shares_memory(S.data, T.data)
+                   for S, T in zip(kept.transitions, ops.transitions))
 
     def test_dense_input_stored_as_csr(self):
         mu = np.array([0.5, 0.5])

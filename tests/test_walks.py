@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stgl import (TimeEvolvingGraph, escape_rate, gen_benchmark1,
-                  gen_benchmark2, gen_line_graph, occupancy, propagate_densities,
-                  simulate_walks)
+from stgl import (OperatorSequence, TimeEvolvingGraph, escape_rate,
+                  gen_benchmark1, gen_benchmark2, gen_line_graph, occupancy,
+                  propagate_densities, simulate_walks)
 
-from util import random_teg, reference_walks
+from util import random_teg, reference_walks, reverse_rows
 
 
 def chain_ops(matrices, self_loops=False):
@@ -41,6 +41,12 @@ class TestSimulateWalk:
             with pytest.raises(ValueError, match=rf"start vertex {start} out of range \[0, 6\)"):
                 simulate_walks(ops, [0, start, 7], seed=0)
 
+    @pytest.mark.parametrize("starts", [[2.9], [True]], ids=["float", "bool"])
+    def test_non_integer_start_rejected(self, starts):
+        ops = propagate_densities(gen_line_graph())
+        with pytest.raises(ValueError, match="starts must be a sequence of integer"):
+            simulate_walks(ops, starts, 0)
+
     def test_no_walkers(self):
         ops = propagate_densities(gen_line_graph())
         assert simulate_walks(ops, [], seed=0).shape == (0, 4)
@@ -64,8 +70,10 @@ class TestReferenceWalks:
     def test_benchmark1_unsorted_rows(self):
         graph, _ = gen_benchmark1(0)
         ops = propagate_densities(graph)
+        unsorted = tuple(reverse_rows(S) for S in ops.transitions)
         # a CDF over unsorted CSR columns would pick different vertices
-        assert not any(S.has_sorted_indices for S in ops.transitions)
+        assert not any(S.has_sorted_indices for S in unsorted)
+        ops = OperatorSequence(transitions=unsorted, densities=ops.densities)
         starts = [200 + i % 100 for i in range(600)]
         assert np.array_equal(simulate_walks(ops, starts, 0),
                               reference_walks(ops, starts, 0))
@@ -119,6 +127,13 @@ class TestEscapeRate:
             escape_rate(no_walkers, {0})
         with pytest.raises(ValueError):
             occupancy(no_walkers, {0})
+
+    def test_one_path_rejected(self):
+        paths = simulate_walks(propagate_densities(gen_line_graph()), [0, 1], 0)
+        with pytest.raises(ValueError, match=r"paths must be a \(walkers, views\) array"):
+            occupancy(paths[0], {0})
+        with pytest.raises(ValueError, match=r"paths must be a \(walkers, views\) array"):
+            escape_rate(paths[0], {0})
 
     def test_line_graph_stable_cluster_keeps_walkers(self):
         # walkers started in the persistent cluster {v4, v5}: fewer than 10%

@@ -249,6 +249,17 @@ def reference_random_walk_laplacian(graph, a, self_loops=True):
     return np.eye(M * n) - W / W.sum(axis=1)[:, None]
 
 
+def reverse_rows(S):
+    """A new CSR array holding S with each row's entries in reverse order.
+
+    Its arrays are new too, so neither S nor a sortedness flag that scipy
+    cached on S is touched."""
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    order = S.indptr[rows] + S.indptr[rows + 1] - 1 - np.arange(S.nnz)
+    return sparse.csr_array((S.data[order], S.indices[order], S.indptr.copy()),
+                            shape=S.shape)
+
+
 def reference_walks(ops, starts, seed):
     """The per-walker walk: one ``Generator.choice`` call per step.
 
