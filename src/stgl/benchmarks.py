@@ -8,6 +8,8 @@ p_in inside blocks and p_out across, with weights drawn uniformly from a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -29,6 +31,10 @@ def gen_planted_partition(membership, p_in, p_out, *,
     M, n = membership.shape
     if not 0 <= p_out <= p_in <= 1:
         raise ValueError("need 0 <= p_out <= p_in <= 1")
+    low, high = weight_range
+    if not (np.isrealobj(weight_range) and 0 < low <= high < math.inf):
+        raise ValueError(f"weight_range must hold finite 0 < low <= high, "
+                         f"got {weight_range}")
     rng = np.random.default_rng(seed)
     # int32, so that the snapshots' CSR arrays carry int32 indices
     iu, ju = (v.astype(np.int32) for v in np.triu_indices(n, k=1))
@@ -36,13 +42,12 @@ def gen_planted_partition(membership, p_in, p_out, *,
     for m in membership:
         prob = np.where(m[iu] == m[ju], p_in, p_out)
         present = rng.random(len(iu)) < prob
-        w = rng.uniform(*weight_range, int(present.sum()))
+        w = rng.uniform(low, high, int(present.sum()))
         i, j = iu[present], ju[present]
         snapshots.append(sparse.coo_array(
             (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(n, n)))
-    return TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots),
-                             directed=False)
+    return TimeEvolvingGraph(snapshots)
 
 
 def benchmark1_membership():
@@ -129,8 +134,7 @@ def gen_benchmark2(seed=0):
     labels[:, groups["X"]] = 1
     labels[:, groups["Y"]] = 2
     labels[3:, groups["A2"]] = 3
-    return (TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots), directed=True),
-            labels)
+    return TimeEvolvingGraph(snapshots, directed=True), labels
 
 
 def gen_line_graph() -> TimeEvolvingGraph:
@@ -150,7 +154,7 @@ def gen_line_graph() -> TimeEvolvingGraph:
                         (3, 4, 0.01), (4, 5, 1.0)]:
             W[i, j] = W[j, i] = w
         snapshots.append(W)
-    return TimeEvolvingGraph.from_dense(snapshots, directed=False)
+    return TimeEvolvingGraph(snapshots)
 
 
 def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0):

@@ -89,7 +89,7 @@ def _lloyd(points, k, rng):
                 centroids[c] = points[far]
                 repair_d2[far] = -np.inf
         new_labels, new_inertia = _assign(points, centroids)
-        if new_inertia > inertia + 1e-9 * max(1.0, inertia):
+        if not new_inertia <= inertia + 1e-9 * max(1.0, inertia):  # NaN fails
             raise StglError("k-means objective increased")
         if np.array_equal(new_labels, labels):
             return new_labels, new_inertia
@@ -104,7 +104,13 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     deterministic for a fixed (seed, restarts) regardless of scheduling.
     Labels are returned folded to (views, len(points) / views).
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points)
+    if points.ndim != 2 or np.iscomplexobj(points) or not np.isfinite(points).all():
+        raise ValueError("points must be a 2-d array of finite real numbers")
+    points = points.astype(float, copy=False)
+    for name, count in (("k", k), ("restarts", restarts), ("views", views)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if restarts < 1:
         raise ValueError(f"need at least one k-means restart, got {restarts}")
     if views < 1:
@@ -133,6 +139,9 @@ def adjusted_rand_index(a, b) -> float:
     """
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
+    for name, labels in (("a", a), ("b", b)):
+        if labels.dtype.kind in "fc" and not np.isfinite(labels).all():
+            raise ValueError(f"labeling {name} has a non-finite label")
     if a.shape != b.shape:
         raise ValueError("labelings must have equal length")
     n = len(a)

@@ -10,8 +10,13 @@ from scipy import sparse
 from .errors import GraphFormatError
 
 
-def _as_csr(W, n):
+def _as_csr(W, n=None):
+    """W as a zero-free, index-sorted float64 csr_array of arrays of its own,
+    n x n (square for n None), with finite, nonnegative real weights."""
+    if np.iscomplexobj(W):  # the float64 cast would drop the imaginary parts
+        raise GraphFormatError("complex edge weight")
     A = sparse.csr_array(W, dtype=np.float64, copy=True)
+    n = A.shape[0] if n is None else n
     if A.shape != (n, n):
         raise GraphFormatError(f"snapshot has shape {A.shape}, expected {(n, n)}")
     if not np.isfinite(A.data).all():
@@ -31,26 +36,24 @@ class TimeEvolvingGraph:
     """A sequence of weighted adjacency snapshots over a fixed vertex set.
 
     Vertices are indexed 0..n-1 and views 1..M (stored 0-based in
-    ``snapshots``). Entry (i, j) of a snapshot is the weight of the edge
-    i -> j at that view; for undirected graphs every snapshot is symmetric.
-    Each snapshot is stored as a zero-free float64 ``csr_array`` with
-    sorted indices, in arrays of the graph's own, not the caller's; every
-    matrix the pipeline derives from it keeps that index order.
+    ``snapshots``), n and M read off the snapshots, dense or sparse. Entry
+    (i, j) of a snapshot is the weight of the edge i -> j at that view; for
+    undirected graphs every snapshot is symmetric. Each snapshot is stored
+    as a zero-free float64 ``csr_array`` with sorted indices, in arrays of
+    the graph's own, not the caller's; every matrix the pipeline derives
+    from it keeps that index order.
     """
 
-    n: int
-    M: int
     snapshots: tuple = field(repr=False)
     directed: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphFormatError("vertex count must be positive")
-        if self.M < 2:
+        if len(self.snapshots) < 2:
             raise GraphFormatError("need at least two views")
-        if len(self.snapshots) != self.M:
-            raise GraphFormatError(f"expected {self.M} snapshots, got {len(self.snapshots)}")
-        snaps = tuple(_as_csr(W, self.n) for W in self.snapshots)
+        first = _as_csr(self.snapshots[0])
+        if first.shape[0] < 1:
+            raise GraphFormatError("vertex count must be positive")
+        snaps = (first, *(_as_csr(W, first.shape[0]) for W in self.snapshots[1:]))
         if not self.directed:
             for t, W in enumerate(snaps):
                 if (W - W.T).count_nonzero():
@@ -58,11 +61,13 @@ class TimeEvolvingGraph:
                                            "is not symmetric")
         object.__setattr__(self, "snapshots", snaps)
 
-    @classmethod
-    def from_dense(cls, matrices, directed=False):
-        matrices = [np.asarray(W, dtype=float) for W in matrices]
-        n = matrices[0].shape[0]
-        return cls(n=n, M=len(matrices), snapshots=tuple(matrices), directed=directed)
+    @property
+    def n(self):
+        return self.snapshots[0].shape[0]
+
+    @property
+    def M(self):
+        return len(self.snapshots)
 
     def edge_arrays(self):
         """(t, i, j, w) arrays of the stored edges, t 1-based, view by view in

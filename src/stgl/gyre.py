@@ -275,8 +275,7 @@ def gyre_graph(grid: UlamGrid = None, params: GyreParams = None, M=10, seed=0):
     finally:
         # after a failure (say StepTooLarge) no queued view starts integrating
         pool.shutdown(cancel_futures=True)
-    return TimeEvolvingGraph(n=grid.n_boxes, M=M, snapshots=snapshots,
-                             directed=True)
+    return TimeEvolvingGraph(snapshots, directed=True)
 
 
 def boundary_columns(labels, grid: UlamGrid):

@@ -354,7 +354,7 @@ def load_graph(path):
     del key
     snapshots = tuple(sparse.coo_array((w[a:b], (i[a:b], j[a:b])), shape=(n, n))
                       for a, b in itertools.pairwise(cuts))
-    graph = TimeEvolvingGraph(n=n, M=M, snapshots=snapshots, directed=directed)
+    graph = TimeEvolvingGraph(snapshots, directed=directed)
 
     labels = doc.get("labels")
     if labels is not None:

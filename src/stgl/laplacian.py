@@ -53,10 +53,16 @@ class SpatioTemporalSystem:
     (t + 1, t) and zeros elsewhere; neither A nor C is formed.
     """
 
-    n: int
-    M: int
     cross: tuple = field(repr=False)
     B_diag: np.ndarray = field(repr=False)
+
+    @property
+    def n(self):
+        return self.cross[0].shape[0]
+
+    @property
+    def M(self):
+        return len(self.cross) + 1
 
     @property
     def size(self):
@@ -143,7 +149,7 @@ def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
     mus = ops.densities
     cross = tuple(scale_rows(mu, S) for mu, S in zip(mus[:-1], ops.transitions))
     B_diag = np.concatenate([w * mu for w, mu in zip(view_weights(ops.M), mus)])
-    return SpatioTemporalSystem(n=ops.n, M=ops.M, cross=cross, B_diag=B_diag)
+    return SpatioTemporalSystem(cross, B_diag)
 
 
 def _fix_signs(vecs):

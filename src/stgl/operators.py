@@ -21,40 +21,42 @@ DENSITY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class OperatorSequence:
-    """Per-view transition matrices and the propagated reference densities.
+    """Per-view transition matrices and the densities they propagate.
 
-    ``transitions[t]`` is a nonnegative, row-stochastic ``csr_array`` and
-    ``densities[t]`` strictly positive with unit sum;
-    ``densities[t + 1] = S_t^T densities[t]``. Every transition matrix is
-    stored with sorted indices: a sorted CSR matrix with the caller's
-    arrays, an unsorted one as a sorted copy.
+    ``transitions[t]`` is a nonnegative, row-stochastic ``csr_array``.
+    ``densities[0]`` is uniform and ``densities[t + 1] = S_t^T densities[t]``;
+    an entry below ``DENSITY_FLOOR`` raises DensityVanished. Every
+    transition matrix is stored with sorted indices: a sorted CSR matrix
+    with the caller's arrays, an unsorted one as a sorted copy.
     """
 
     transitions: tuple = field(repr=False)
-    densities: tuple = field(repr=False)
+    densities: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         csrs = (sparse.csr_array(S) for S in self.transitions)
         object.__setattr__(self, "transitions", tuple(
             S if S.has_sorted_indices else S.sorted_indices() for S in csrs))
-        object.__setattr__(self, "densities",
-                           tuple(np.asarray(mu, dtype=float) for mu in self.densities))
-        if len(self.densities) != len(self.transitions):
-            raise ValueError("need one density per view")
+        if not self.transitions:
+            raise ValueError("need at least one transition matrix")
         # each check is written so that NaN fails it
         for t, S in enumerate(self.transitions, start=1):
+            if S.shape != (self.n, self.n) or np.iscomplexobj(S):
+                raise ValueError(f"transition matrix at view {t} is not a real "
+                                 f"{self.n} x {self.n} matrix")
             if not np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12:
                 raise ValueError(f"transition matrix at view {t} is not row-stochastic")
             if not (S.data >= 0).all():
                 raise ValueError(f"transition matrix at view {t} has negative entries")
-        for t, mu in enumerate(self.densities, start=1):
-            if not (mu.min() > 0 and abs(mu.sum() - 1.0) <= 1e-12):
-                raise ValueError(f"density at view {t} is not strictly positive "
-                                 "with unit sum")
-        for t in range(len(self.transitions) - 1):
-            drift = self.transitions[t].T @ self.densities[t] - self.densities[t + 1]
-            if not np.abs(drift).max() <= 1e-12:
-                raise ValueError(f"density propagation identity violated at view {t + 2}")
+        mu = np.full(self.n, 1.0 / self.n)
+        densities = [mu]
+        for t, S in enumerate(self.transitions[:-1], start=1):
+            mu = S.T @ mu
+            bad = np.flatnonzero(mu < DENSITY_FLOOR)
+            if bad.size:
+                raise DensityVanished(t + 1, int(bad[0]), float(mu[bad[0]]))
+            densities.append(mu)
+        object.__setattr__(self, "densities", tuple(densities))
 
     @property
     def M(self):
@@ -91,13 +93,13 @@ def scale_rows(factors, W):
 
 def propagate_densities(graph: TimeEvolvingGraph, *,
                         self_loops=True) -> OperatorSequence:
-    """Build the transition matrices and propagate the uniform density.
+    """Build the transition matrices, whose ``OperatorSequence`` propagates
+    the uniform density.
 
-    The density at view 1 is uniform. With ``self_loops`` (the default) a
-    unit self-loop is added to every vertex at every view before
-    normalization, as ``row_normalize(W + I)``, which keeps all propagated
-    densities strictly positive; without it, an entry below
-    ``DENSITY_FLOOR`` raises DensityVanished.
+    With ``self_loops`` (the default) a unit self-loop is added to every
+    vertex at every view before normalization, as ``row_normalize(W + I)``,
+    which keeps all propagated densities strictly positive; without it, an
+    entry below ``DENSITY_FLOOR`` raises DensityVanished.
     """
     eye = sparse.identity(graph.n, format="csr")
     transitions = []
@@ -106,13 +108,4 @@ def propagate_densities(graph: TimeEvolvingGraph, *,
             transitions.append(row_normalize(W + eye if self_loops else W))
         except ZeroOutDegree as err:
             raise ZeroOutDegree(err.vertex, view=t) from None
-
-    mu = np.full(graph.n, 1.0 / graph.n)
-    densities = [mu]
-    for t, S in enumerate(transitions[:-1], start=1):
-        mu = S.T @ mu
-        bad = np.flatnonzero(mu < DENSITY_FLOOR)
-        if bad.size:
-            raise DensityVanished(t + 1, int(bad[0]), float(mu[bad[0]]))
-        densities.append(mu)
-    return OperatorSequence(transitions=tuple(transitions), densities=tuple(densities))
+    return OperatorSequence(tuple(transitions))

@@ -61,7 +61,7 @@ class SupraSystem:
 def symmetrize(graph: TimeEvolvingGraph) -> TimeEvolvingGraph:
     """Remove directionality: W <- (W + W^T) / 2 per view."""
     snaps = tuple(sparse.csr_array((W + W.T) * 0.5) for W in graph.snapshots)
-    return TimeEvolvingGraph(n=graph.n, M=graph.M, snapshots=snaps, directed=False)
+    return TimeEvolvingGraph(snaps)
 
 
 def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSystem:

@@ -123,6 +123,14 @@ class TestPlantedPartition:
         with pytest.raises(ValueError):
             gen_planted_partition(np.zeros((2, 10), dtype=int), 0.1, 0.5)
 
+    @pytest.mark.parametrize("weight_range", [(np.nan, 1.0), (0.5, np.inf), (0.0, 1.0),
+                                              (-1.0, 1.0), (1.5, 0.5)],
+                             ids=["nan", "inf", "zero", "negative", "reversed"])
+    def test_weight_range_checked(self, weight_range):
+        with pytest.raises(ValueError, match="weight_range must hold finite"):
+            gen_planted_partition(np.zeros((2, 10), dtype=int), 0.5, 0.1,
+                                  weight_range=weight_range)
+
     def test_weight_laws(self):
         membership = np.tile(np.repeat([0, 1], 10), (2, 1))
         for low, high in [(0.5, 1.5), (0.006, 0.018)]:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stgl import (DegenerateInput, InsufficientSpatialEigenvectors,
+from stgl import (DegenerateInput, InsufficientSpatialEigenvectors, StglError,
                   adjusted_rand_index, clustering, kmeans, score_against,
                   select_spatial, spectral_cluster, static_blocks)
 from stgl.clustering import _assign, _lloyd
@@ -132,6 +132,40 @@ class TestKmeans:
         with pytest.raises(ValueError, match="at least one view, got 0"):
             kmeans(np.zeros((4, 2)), 2, views=0)
 
+    def test_float_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+            kmeans(np.zeros((4, 2)), 2.0)
+
+    def test_float_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts must be an integer, got 2.0"):
+            kmeans(np.zeros((4, 2)), 2, restarts=2.0)
+
+    def test_bool_views_rejected(self):
+        with pytest.raises(ValueError, match="views must be an integer, got True"):
+            kmeans(np.zeros((4, 2)), 2, views=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, value):
+        points = np.random.default_rng(0).standard_normal((6, 2))
+        points[3, 1] = value
+        with pytest.raises(ValueError, match="finite real numbers"):
+            kmeans(points, 2)
+
+    def test_nan_objective_stops_lloyd(self, monkeypatch):
+        # a NaN inertia fails the objective check instead of passing as
+        # converged
+        real, calls = clustering._assign, []
+
+        def nan_after_seeding(points, centroids):
+            labels, inertia = real(points, centroids)
+            calls.append(inertia)
+            return labels, inertia if len(calls) == 1 else np.nan
+
+        monkeypatch.setattr(clustering, "_assign", nan_after_seeding)
+        pts = np.random.default_rng(7).standard_normal((20, 2))
+        with pytest.raises(StglError, match="objective increased"):
+            _lloyd(pts, 2, np.random.default_rng(0))
+
     def test_identical_rows(self):
         # k-means++ finds no spread to weight its draws by, and every
         # cluster but the first comes out empty and is repaired
@@ -173,6 +207,11 @@ class TestKmeans:
 
 
 class TestAdjustedRandIndex:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_label_rejected(self, value):
+        with pytest.raises(ValueError, match="labeling a has a non-finite label"):
+            adjusted_rand_index([0, 1, value], [0, 1, 1])
+
     def test_identical_is_one(self):
         labels = np.array([0, 0, 1, 2, 2, 1])
         assert adjusted_rand_index(labels, labels) == 1.0
@@ -251,6 +290,13 @@ class TestPipeline:
         labels = np.array([[0, 0, 1, 1], [1, 1, 0, 0]])
         truth = np.array([[1, 1, 0, 0], [1, 1, 0, 0]])
         assert score_against(labels, truth) == (1.0, 1.0)
+
+    def test_nan_in_truth_rejected(self):
+        graph, truth = static_blocks(seed=0)
+        truth = truth.astype(float)
+        truth[1, 4] = np.nan
+        with pytest.raises(ValueError, match="labeling b has a non-finite label"):
+            spectral_cluster(graph, 2, truth=truth)
 
     def test_truth_of_another_shape_rejected(self):
         graph, truth = static_blocks(seed=0)

@@ -37,7 +37,7 @@ def lanczos_calls(monkeypatch):
 
 class TestAssembly:
     def test_single_vertex_two_views(self):
-        g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2, directed=True)
+        g = TimeEvolvingGraph([np.array([[1.0]])] * 2, directed=True)
         system = build_system(g, self_loops=False)
         np.testing.assert_array_equal(system_C(system).toarray(),
                                       [[0.0, 1.0], [1.0, 0.0]])
@@ -109,7 +109,7 @@ class TestAssembly:
 
 class TestEigendecompose:
     def test_two_by_two_analytic(self):
-        g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2, directed=True)
+        g = TimeEvolvingGraph([np.array([[1.0]])] * 2, directed=True)
         system = build_system(g, self_loops=False)
         emb = eigendecompose(system, 2)
         np.testing.assert_allclose(emb.eigenvalues, [1.0], atol=1e-12)
@@ -616,7 +616,7 @@ class TestCouplingRoute:
 
 class TestLaplacianSpectrum:
     def test_extremes(self):
-        g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2, directed=True)
+        g = TimeEvolvingGraph([np.array([[1.0]])] * 2, directed=True)
         system = build_system(g, self_loops=False)
         spectrum = 1.0 - np.linalg.eigvalsh(system.symmetrized())
         np.testing.assert_allclose(np.sort(spectrum), [0.0, 2.0], atol=1e-12)
@@ -639,7 +639,7 @@ class TestFoldAndClassify:
 class TestCouplingGraph:
     def test_directed_edge_becomes_undirected(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
-        g = TimeEvolvingGraph.from_dense([W, W], directed=True)
+        g = TimeEvolvingGraph([W, W], directed=True)
         ops = propagate_densities(g)
         A = system_A(assemble_system(ops))
         assert (A - A.T).count_nonzero() == 0

@@ -49,8 +49,7 @@ class TestRowNormalize:
 
 class TestPropagateDensities:
     def test_doubly_stochastic_preserves_uniform(self):
-        g = TimeEvolvingGraph.from_dense(
-            [np.array([[0.0, 1.0], [1.0, 0.0]])] * 2, directed=True)
+        g = TimeEvolvingGraph([np.array([[0.0, 1.0], [1.0, 0.0]])] * 2, directed=True)
         ops = propagate_densities(g, self_loops=False)
         np.testing.assert_allclose(ops.densities[1], [0.5, 0.5], atol=1e-15)
 
@@ -58,7 +57,7 @@ class TestPropagateDensities:
         S = np.array([[1.0, 0.0], [0.5, 0.5]])
         mu2 = S.T @ np.array([0.5, 0.5])
         np.testing.assert_allclose(mu2, [0.75, 0.25], atol=1e-15)
-        g = TimeEvolvingGraph.from_dense([S, S], directed=True)
+        g = TimeEvolvingGraph([S, S], directed=True)
         ops = propagate_densities(g, self_loops=False)
         np.testing.assert_allclose(ops.densities[1], [0.75, 0.25], atol=1e-15)
 
@@ -80,7 +79,7 @@ class TestPropagateDensities:
     def test_density_floor_raises(self):
         # all mass moves to vertex 1, so vertex 0 is empty at view 2
         W = np.array([[0.0, 1.0], [0.0, 1.0]])
-        g = TimeEvolvingGraph.from_dense([W, W], directed=True)
+        g = TimeEvolvingGraph([W, W], directed=True)
         with pytest.raises(DensityVanished) as err:
             propagate_densities(g, self_loops=False)
         assert (err.value.view, err.value.vertex) == (2, 0)
@@ -122,10 +121,9 @@ class TestPropagateDensities:
         base, _ = static_blocks(seed=0)
         weights = [(4 * W).ceil() if dtype == np.int64 else W
                    for W in base.snapshots]
-        g = TimeEvolvingGraph(n=base.n, M=base.M, snapshots=tuple(
-            W.astype(dtype) for W in weights))
-        as_float64 = TimeEvolvingGraph(n=g.n, M=g.M, snapshots=tuple(
-            W.astype(dtype).astype(np.float64) for W in weights))
+        g = TimeEvolvingGraph([W.astype(dtype) for W in weights])
+        as_float64 = TimeEvolvingGraph([W.astype(dtype).astype(np.float64)
+                                        for W in weights])
         assert all(W.dtype == np.float64 for W in g.snapshots)
         for self_loops in (True, False):
             got = spectral_cluster(g, 2, self_loops=self_loops)
@@ -137,7 +135,7 @@ class TestPropagateDensities:
     def test_zero_out_degree_reports_view(self):
         W1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         W2 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        g = TimeEvolvingGraph.from_dense([W1, W2], directed=True)
+        g = TimeEvolvingGraph([W1, W2], directed=True)
         with pytest.raises(ZeroOutDegree) as err:
             propagate_densities(g, self_loops=False)
         assert err.value.view == 2
@@ -167,56 +165,58 @@ class TestScaleRows:
 class TestOperatorSequenceValidation:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
-            OperatorSequence(transitions=(np.array([[0.5, 0.4], [0.5, 0.5]]),),
-                             densities=(np.array([0.5, 0.5]),))
+            OperatorSequence((np.array([[0.5, 0.4], [0.5, 0.5]]),))
 
-    def test_rejects_broken_propagation(self):
-        S = np.array([[0.0, 1.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("S", [
+        np.array([[np.nan, 1.0], [0.5, 0.5]]),
+    ], ids=["nan-transition"])
+    def test_rejects_nan(self, S):
         with pytest.raises(ValueError):
-            OperatorSequence(transitions=(S, S),
-                             densities=(np.array([0.25, 0.75]),
-                                        np.array([0.25, 0.75])))
-
-    def test_rejects_missing_density(self):
-        with pytest.raises(ValueError, match="one density per view"):
-            OperatorSequence(transitions=(np.eye(2), np.eye(2)),
-                             densities=(np.array([0.5, 0.5]),))
-
-    @pytest.mark.parametrize("S, mu", [
-        (np.array([[np.nan, 1.0], [0.5, 0.5]]), np.array([0.5, 0.5])),
-        (np.eye(2), np.array([np.nan, 0.5])),
-        (np.eye(2), np.full(2, np.nan)),
-    ], ids=["nan-transition", "nan-density", "all-nan-density"])
-    def test_rejects_nan(self, S, mu):
-        with pytest.raises(ValueError):
-            OperatorSequence(transitions=(S,), densities=(mu,))
+            OperatorSequence((S,))
 
     def test_rejects_negative_entry(self):
         # rows sum to one and the densities stay positive, so only the
         # negativity check objects
         S = np.array([[1.5, -0.5], [0.0, 1.0]])
-        mu = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="transition matrix at view 1 has "
                                              "negative entries"):
-            OperatorSequence(transitions=(S, np.eye(2)), densities=(mu, S.T @ mu))
+            OperatorSequence((S, np.eye(2)))
+
+    def test_rejects_no_transitions(self):
+        with pytest.raises(ValueError, match="at least one transition matrix"):
+            OperatorSequence(())
+
+    @pytest.mark.parametrize("S", [np.eye(3), np.ones((2, 3)) / 3,
+                                   np.eye(2, dtype=complex)],
+                             ids=["other-size", "not-square", "complex"])
+    def test_rejects_a_transition_of_another_shape_or_complex(self, S):
+        with pytest.raises(ValueError, match="view 2 is not a real 2 x 2 matrix"):
+            OperatorSequence((np.eye(2), S))
+
+    def test_propagates_its_own_densities(self):
+        # all mass moves to vertex 1, so vertex 0 is empty at view 2
+        S = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert [mu.tolist() for mu in OperatorSequence((np.eye(2), S)).densities] == [
+            [0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(DensityVanished) as err:
+            OperatorSequence((S, np.eye(2)))
+        assert (err.value.view, err.value.vertex, err.value.value) == (2, 0, 0.0)
 
     def test_rows_stored_sorted_without_sorting_the_callers_arrays(self):
         ops = propagate_densities(gen_benchmark1(0)[0])
         assert all(S.has_sorted_indices for S in ops.transitions)
         reversed_rows = [reverse_rows(S) for S in ops.transitions]
-        again = OperatorSequence(transitions=tuple(reversed_rows),
-                                 densities=ops.densities)
+        again = OperatorSequence(tuple(reversed_rows))
         for S, R, kept in zip(again.transitions, reversed_rows, ops.transitions):
             assert S.has_sorted_indices and S.indices is not R.indices
             assert not np.array_equal(R.indices, kept.indices)
             assert S.indices.tobytes() == kept.indices.tobytes()
             assert S.data.tobytes() == kept.data.tobytes()
         # a sorted matrix is kept with its arrays
-        kept = OperatorSequence(transitions=ops.transitions, densities=ops.densities)
+        kept = OperatorSequence(ops.transitions)
         assert all(np.shares_memory(S.data, T.data)
                    for S, T in zip(kept.transitions, ops.transitions))
 
     def test_dense_input_stored_as_csr(self):
-        mu = np.array([0.5, 0.5])
-        ops = OperatorSequence(transitions=(np.eye(2), np.eye(2)), densities=(mu, mu))
+        ops = OperatorSequence((np.eye(2), np.eye(2)))
         assert all(type(S) is sparse.csr_array for S in ops.transitions)

@@ -2,15 +2,19 @@
 
 import ast
 import importlib.metadata
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stgl
-from stgl import (build_supra, gen_benchmark1, score_against,
+from stgl import (OperatorSequence, SpatioTemporalSystem, StglError,
+                  TimeEvolvingGraph, adjusted_rand_index, build_supra,
+                  gen_benchmark1, gen_planted_partition, kmeans, score_against,
                   spectral_cluster, supra_cluster)
 from stgl.supra import classify_folded
 
@@ -115,6 +119,90 @@ def test_public_surface_is_pinned():
         "static_blocks", "supra_cluster", "symmetrize", "ulam_counts",
         "velocity",
     ]
+
+
+def test_constructors_take_only_what_they_cannot_compute():
+    # n, M and the densities follow from the data; taking them as inputs
+    # again would need checks that the inputs agree
+    params = {cls: list(inspect.signature(cls).parameters)
+              for cls in (TimeEvolvingGraph, OperatorSequence, SpatioTemporalSystem)}
+    assert params == {TimeEvolvingGraph: ["snapshots", "directed"],
+                      OperatorSequence: ["transitions"],
+                      SpatioTemporalSystem: ["cross", "B_diag"]}
+    assert not hasattr(TimeEvolvingGraph, "from_dense")
+
+
+# one bad value per kind; "view-count" gives an entry point one view too few
+BAD_VALUES = {"nan": np.nan, "inf": np.inf, "negative": -1.0, "float-for-int": 2.0,
+              "bool": True, "complex": 1 + 1j, "view-count": None}
+# the (entry point, kind) pairs whose value is valid input there, such as a
+# negative or a complex label; every other pair must be rejected
+VALID = {("graph", "float-for-int"), ("graph", "bool"),
+         ("labels", "negative"), ("labels", "float-for-int"), ("labels", "bool"),
+         ("labels", "complex"), ("generator", "float-for-int"), ("generator", "bool")}
+
+
+def _with(array, index, value):
+    array = array.astype(np.result_type(array, value))
+    array[index] = value
+    return array
+
+
+def _bad_call(entry, kind, n, pick, rng):
+    """A call of one entry point on valid random input of n vertices with
+    one input replaced by the bad value of ``kind``; ``pick`` chooses
+    which input or entry."""
+    value = BAD_VALUES[kind]
+    if entry == "graph":
+        W = np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
+        W = W + W.T
+        if kind == "view-count":
+            return lambda: TimeEvolvingGraph([W])
+        if kind == "bool":
+            W = W > 0
+        i, j = pick % n, (pick + 1) % n
+        return lambda: TimeEvolvingGraph([_with(_with(W, (i, j), value), (j, i), value), W])
+    if entry == "operators":
+        S = np.full((n, n), 1.0 / n)
+        if kind == "view-count":
+            return lambda: OperatorSequence(())
+        return lambda: OperatorSequence((S, _with(S, (pick % n, 0), value)))
+    if entry == "kmeans":
+        points, args = rng.standard_normal((2 * n, 2)), {"k": 2, "restarts": 2, "views": 2}
+        if kind == "view-count":
+            args["views"] = 2 * n + 1
+        elif kind in ("nan", "inf", "complex"):
+            points = _with(points, (pick % (2 * n), pick % 2), value)
+        else:
+            args[("k", "restarts", "views")[pick % 3]] = value
+        return lambda: kmeans(points, **args)
+    if entry == "labels":
+        a, b = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        if kind == "view-count":
+            return lambda: adjusted_rand_index(a, b[1:])
+        return lambda: adjusted_rand_index(_with(a, pick % n, value), b)
+    membership = rng.integers(0, 2, (3, n))
+    if kind == "view-count":
+        return lambda: gen_planted_partition(membership[:1], 0.8, 0.2)
+    if kind in ("float-for-int", "bool"):
+        membership = membership.astype(float if kind == "float-for-int" else bool)
+        return lambda: gen_planted_partition(membership, 0.8, 0.2)
+    weight_range = [0.5, 1.5]
+    weight_range[pick % 2] = value
+    return lambda: gen_planted_partition(membership, 0.8, 0.2,
+                                         weight_range=tuple(weight_range))
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VALUES))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), pick=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+def test_bad_input_raises_only_value_or_package_errors(kind, n, pick, seed):
+    for entry in ("graph", "operators", "kmeans", "labels", "generator"):
+        try:
+            _bad_call(entry, kind, n, pick, np.random.default_rng(seed))()
+        except (ValueError, StglError):
+            continue
+        assert (entry, kind) in VALID, f"{entry} accepted {kind}"
 
 
 def test_no_unused_imports():

@@ -28,7 +28,7 @@ class TestSymmetrize:
 
     def test_halves_one_way_edges(self):
         W = np.array([[0.0, 2.0], [0.0, 0.0]])
-        g = TimeEvolvingGraph.from_dense([W, W], directed=True)
+        g = TimeEvolvingGraph([W, W], directed=True)
         sym = symmetrize(g)
         assert not sym.directed
         np.testing.assert_allclose(sym.snapshots[0].toarray(), [[0.0, 1.0], [1.0, 0.0]])
@@ -41,7 +41,7 @@ def unsorted_rows_graph():
     for r in range(W.shape[0]):
         row = slice(W.indptr[r], W.indptr[r + 1])
         W.indices[row], W.data[row] = W.indices[row][::-1], W.data[row][::-1]
-    g = TimeEvolvingGraph(n=W.shape[0], M=2, snapshots=(W, W.toarray()))
+    g = TimeEvolvingGraph((W, W.toarray()))
     assert g.snapshots[0].has_sorted_indices
     assert not np.array_equal(g.snapshots[0].indices, W.indices)
     return g
@@ -54,9 +54,9 @@ def bitwise_cases():
     cases = [(f"benchmark1-{seed}", gen_benchmark1(seed)[0]) for seed in range(3)]
     cases += [(f"random-{seed}", undirected_teg(seed)) for seed in range(60)]
     cases += [(f"static-M{M}", static_blocks(n=12, M=M, seed=M)[0]) for M in (2, 10)]
-    cases += [("self-loops", TimeEvolvingGraph.from_dense([loop, 2 * loop])),
-              ("lone-self-loop", TimeEvolvingGraph.from_dense([lone, loop])),
-              ("one-vertex", TimeEvolvingGraph.from_dense([[[1.0]], [[0.0]], [[2.5]]])),
+    cases += [("self-loops", TimeEvolvingGraph([loop, 2 * loop])),
+              ("lone-self-loop", TimeEvolvingGraph([lone, loop])),
+              ("one-vertex", TimeEvolvingGraph([[[1.0]], [[0.0]], [[2.5]]])),
               ("unsorted-rows", unsorted_rows_graph())]
     return [pytest.param(graph, id=name) for name, graph in cases]
 
@@ -95,7 +95,7 @@ class TestBuildSupra:
 
     def test_directed_input_rejected(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
-        g = TimeEvolvingGraph.from_dense([W, W], directed=True)
+        g = TimeEvolvingGraph([W, W], directed=True)
         with pytest.raises(DirectedInput):
             build_supra(g, 0.1)
 
@@ -112,7 +112,7 @@ class TestBuildSupra:
             build_supra(g, a, variant)
 
     def test_single_vertex_two_views(self):
-        g = TimeEvolvingGraph.from_dense([np.array([[1.0]])] * 2)
+        g = TimeEvolvingGraph([np.array([[1.0]])] * 2)
         system = build_supra(g, 0.7, "unnormalized")
         # Laplacian sign convention: off-diagonal blocks are -a I, coupling
         # degree on the diagonal; a single self-loop contributes nothing
@@ -243,7 +243,7 @@ class TestOnePass:
     def test_short_single_pass_raises(self, spectrum_calls, variant):
         # N = 4: one constant and one temporal vector leave three others
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
-        system = build_supra(TimeEvolvingGraph.from_dense([W, W]), 0.5, variant)
+        system = build_supra(TimeEvolvingGraph([W, W]), 0.5, variant)
         with pytest.raises(InsufficientSpatialEigenvectors):
             supra_cluster(system, 4)
         assert len(spectrum_calls) == 1

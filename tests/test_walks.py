@@ -9,7 +9,7 @@ from util import random_teg, reference_walks, reverse_rows
 
 
 def chain_ops(matrices, self_loops=False):
-    g = TimeEvolvingGraph.from_dense(matrices, directed=True)
+    g = TimeEvolvingGraph(matrices, directed=True)
     return propagate_densities(g, self_loops=self_loops)
 
 
@@ -73,7 +73,7 @@ class TestReferenceWalks:
         unsorted = tuple(reverse_rows(S) for S in ops.transitions)
         # a CDF over unsorted CSR columns would pick different vertices
         assert not any(S.has_sorted_indices for S in unsorted)
-        ops = OperatorSequence(transitions=unsorted, densities=ops.densities)
+        ops = OperatorSequence(unsorted)
         starts = [200 + i % 100 for i in range(600)]
         assert np.array_equal(simulate_walks(ops, starts, 0),
                               reference_walks(ops, starts, 0))

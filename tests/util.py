@@ -31,7 +31,7 @@ def random_teg(seed, n_max=50, M_max=6, density=0.25):
             W = np.triu(W)
             W = W + W.T
         snaps.append(W)
-    return TimeEvolvingGraph.from_dense(snaps, directed=directed)
+    return TimeEvolvingGraph(snaps, directed=directed)
 
 
 def with_self_loops(graph):
@@ -40,8 +40,7 @@ def with_self_loops(graph):
     W + I view by view."""
     eye = sparse.identity(graph.n, format="csr")
     snaps = tuple(sparse.csr_array(W + eye) for W in graph.snapshots)
-    return TimeEvolvingGraph(n=graph.n, M=graph.M, snapshots=snaps,
-                             directed=graph.directed)
+    return TimeEvolvingGraph(snaps, directed=graph.directed)
 
 
 def rank_one_coupling_graph(n=12):
@@ -51,7 +50,7 @@ def rank_one_coupling_graph(n=12):
     rng = np.random.default_rng(0)
     W = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
     np.fill_diagonal(W, 1.0)
-    return TimeEvolvingGraph.from_dense([np.ones((n, n)), W], directed=True)
+    return TimeEvolvingGraph([np.ones((n, n)), W], directed=True)
 
 
 def clique_coupling_graph(sizes=(150, 120, 90), seed=0):
@@ -69,7 +68,7 @@ def clique_coupling_graph(sizes=(150, 120, 90), seed=0):
     W0 = between[groups][:, groups]
     np.fill_diagonal(W0, 0.0)
     W1 = W0 * rng.random(W0.shape)
-    return TimeEvolvingGraph.from_dense([W0, W1], directed=True), groups
+    return TimeEvolvingGraph([W0, W1], directed=True), groups
 
 
 def build_system(graph, **kwargs):
@@ -419,7 +418,7 @@ def reference_load_graph(path):
         else:
             W = sparse.coo_array((n, n))
         snapshots.append(sparse.csr_array(W))
-    graph = TimeEvolvingGraph(n=n, M=M, snapshots=tuple(snapshots), directed=directed)
+    graph = TimeEvolvingGraph(snapshots, directed=directed)
 
     labels = doc.get("labels")
     if labels is not None:
