@@ -21,7 +21,7 @@ DEFAULT_WEIGHTS = (0.5, 1.5)
 def gen_planted_partition(membership, p_in, p_out, *,
                           weight_range=DEFAULT_WEIGHTS, seed=0) -> TimeEvolvingGraph:
     """Undirected planted-partition snapshots, one per row of the (M, n)
-    membership array.
+    array of nonnegative membership labels.
 
     Each view is sampled independently given its membership row; only the
     membership couples the views. ``p_out == p_in`` is allowed, so the
@@ -29,6 +29,8 @@ def gen_planted_partition(membership, p_in, p_out, *,
     """
     membership = np.asarray(membership, dtype=int)
     M, n = membership.shape
+    if (membership < 0).any():
+        raise ValueError("membership labels must be nonnegative")
     if not 0 <= p_out <= p_in <= 1:
         raise ValueError("need 0 <= p_out <= p_in <= 1")
     low, high = weight_range

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientSpatialEigenvectors, StglError
+from .errors import (DegenerateInput, InsufficientSpatialEigenvectors, StglError,
+                     check_integer)
 from .graph import TimeEvolvingGraph
 from .laplacian import SpectralEmbedding, assemble_system, eigendecompose
 from .operators import propagate_densities
@@ -30,6 +31,13 @@ class ClusteringResult:
     inertia: float
 
 
+def check_k(k):
+    """Reject a cluster count k that is not an integer of at least 1."""
+    check_integer("k", k)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def select_spatial(tags, k) -> tuple:
     """Indices of the first k eigenvectors whose tag is not "temporal", in
     the order of ``tags``.
@@ -37,6 +45,7 @@ def select_spatial(tags, k) -> tuple:
     The constant first eigenvector is retained by convention; temporal
     eigenvectors (constant within each view) are filtered out.
     """
+    check_k(k)
     keep = tuple(i for i, tag in enumerate(tags) if tag != "temporal")
     if len(keep) < k:
         raise InsufficientSpatialEigenvectors(len(keep), k)
@@ -108,14 +117,14 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     if points.ndim != 2 or np.iscomplexobj(points) or not np.isfinite(points).all():
         raise ValueError("points must be a 2-d array of finite real numbers")
     points = points.astype(float, copy=False)
-    for name, count in (("k", k), ("restarts", restarts), ("views", views)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+    check_k(k)
+    check_integer("restarts", restarts)
+    check_integer("views", views)
     if restarts < 1:
         raise ValueError(f"need at least one k-means restart, got {restarts}")
     if views < 1:
         raise ValueError(f"need at least one view, got {views}")
-    if k < 1 or len(points) < k:
+    if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
     n = len(points) // views
     if n * views != len(points):
@@ -195,8 +204,9 @@ def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
     most M - 1 of them are temporal, so they hold k non-temporal ones
     unless negative eigenvalues cut the list short. C has N - M + 1
     non-temporal eigenvectors in all, and a larger k is rejected before
-    any solve.
+    any solve, as is a k that is not an integer of at least 1.
     """
+    check_k(k)
     ops = propagate_densities(graph, self_loops=self_loops)
     system = assemble_system(ops)
     N, M = system.size, system.M

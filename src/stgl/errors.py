@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numpy as np
 
 
 class StglError(Exception):
@@ -60,3 +62,10 @@ class StepTooLarge(StglError):
 
 class GraphFormatError(StglError):
     """A graph file does not conform to the expected format."""
+
+
+def check_integer(name, value):
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer; a
+    bool is not one, and neither is a float such as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

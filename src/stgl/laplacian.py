@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, check_integer
 from .operators import OperatorSequence, scale_rows
 
 # Largest system solved by a full dense symmetric decomposition; beyond this
@@ -34,6 +34,17 @@ LANCZOS_SEED = 0
 # Eigenvalues above this are surfaced by default; negative ones correspond to
 # negatively correlated functions and are filtered.
 NEGATIVE_EIG_CUTOFF = -1e-12
+
+
+def check_folding(M, shape, name):
+    """Reject an M that is not a positive integer, or an argument ``name``
+    of ``shape`` that is not 2-d with a positive multiple of M rows."""
+    check_integer("M", M)
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
+    if len(shape) != 2 or shape[0] < 1 or shape[0] % M:
+        raise ValueError(f"{name} must be 2-d with a positive multiple of "
+                         f"M={M} rows, got shape {shape}")
 
 
 def view_weights(M):
@@ -128,19 +139,27 @@ class SpectralEmbedding:
     on the complement of the per-view constants.
     """
 
-    n: int
     M: int
     eigenvalues: np.ndarray
     vectors: np.ndarray = field(repr=False)
     tags: tuple
+
+    def __post_init__(self):
+        shape = np.shape(self.vectors)
+        check_folding(self.M, shape, "vectors")
+        if not len(self.eigenvalues) == len(self.tags) == shape[1]:
+            raise ValueError(f"eigenvalues, tags and the columns of vectors differ "
+                             f"in count: {len(self.eigenvalues)}, {len(self.tags)} "
+                             f"and {shape[1]}")
 
     def __len__(self):
         return len(self.eigenvalues)
 
     @property
     def folded(self):
-        """Eigenvectors as a k x M x n view of ``vectors``."""
-        return self.vectors.T.reshape(len(self), self.M, self.n)
+        """Eigenvectors as a k x M x n view of ``vectors``, n read off its
+        M n rows."""
+        return self.vectors.T.reshape(len(self), self.M, len(self.vectors) // self.M)
 
 
 def assemble_system(ops: OperatorSequence) -> SpatioTemporalSystem:
@@ -310,6 +329,6 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
         order = order[vals[order] >= NEGATIVE_EIG_CUTOFF]
     kinds = ("constant",) + ("temporal",) * (M - 1) + ("spatial",) * len(spatial_vals)
     return SpectralEmbedding(
-        n=system.n, M=system.M, eigenvalues=vals[order],
+        M=M, eigenvalues=vals[order],
         vectors=vecs[:, order] / np.sqrt(system.B_diag)[:, None],
         tags=tuple(kinds[c] for c in order))

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .clustering import ClusteringResult, kmeans, select_spatial
+from .clustering import ClusteringResult, check_k, kmeans, select_spatial
 from .errors import DirectedInput
 from .graph import TimeEvolvingGraph
-from .laplacian import eigenpair_order, symmetric_eigenpairs, view_weights
+from .laplacian import (check_folding, eigenpair_order, symmetric_eigenpairs,
+                        view_weights)
 
 VARIANTS = ("unnormalized", "normalized")
 
@@ -48,14 +49,22 @@ class SupraSystem:
     unnormalized variant, where H is L_S itself).
     """
 
-    n: int
     M: int
     H: sparse.csr_array = field(repr=False)
     scale: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        shape = np.shape(self.H)
+        check_folding(self.M, shape, "H")
+        if shape[0] != shape[1]:
+            raise ValueError(f"H must be square, got shape {shape}")
+        if np.shape(self.scale) != (self.size,):
+            raise ValueError(f"scale must have length {self.size}, "
+                             f"got shape {np.shape(self.scale)}")
+
     @property
     def size(self):
-        return self.M * self.n
+        return self.H.shape[0]
 
 
 def symmetrize(graph: TimeEvolvingGraph) -> TimeEvolvingGraph:
@@ -133,7 +142,7 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
         degrees = (np.concatenate([view(t).sum(axis=1) for t in range(M)])
                    + a * coupled)
         H = sparse.csr_array(sparse.diags_array(degrees) - W)
-        return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
+        return SupraSystem(M=M, H=H, scale=np.ones(N))
 
     # H = (H0 + H0^T) / 2 with H0 = I - D^{-1/2} W D^{-1/2}, view by view in
     # W's arrays; W is exactly symmetric, so entry (c, r) of H0 is computed
@@ -147,7 +156,7 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
         data[part] = np.where(r == c, (1 - x) + (1 - x), (-x) + (-y))
     W.eliminate_zeros()  # a sum of exact zero, which H0 + H0^T drops
     W.data *= 0.5
-    return SupraSystem(n=n, M=M, H=W, scale=scale)
+    return SupraSystem(M=M, H=W, scale=scale)
 
 
 def classify_folded(folded):
@@ -195,11 +204,13 @@ def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
     d_max / d_min: (M + 1) tau^2 d_max / d_min < 1. Beyond that bound, or
     when j = N holds fewer than k non-temporal vectors, the selection
     raises InsufficientSpatialEigenvectors, as ``spectral_cluster`` does.
+    A k that is not an integer of at least 1 is rejected before the solve.
     """
-    n, M = system.n, system.M
+    check_k(k)
+    M = system.M
     vals, vecs = supra_spectrum(system, min(system.size, k + M + 3))
     if filter_temporal:
-        tags = tuple(classify_folded(f) for f in vecs.T.reshape(-1, M, n))
+        tags = tuple(classify_folded(f) for f in vecs.T.reshape(len(vals), M, -1))
     else:
         # unfiltered: every vector is eligible
         tags = ("spatial",) * len(vals)

@@ -131,6 +131,12 @@ class TestPlantedPartition:
             gen_planted_partition(np.zeros((2, 10), dtype=int), 0.5, 0.1,
                                   weight_range=weight_range)
 
+    def test_negative_label_rejected(self):
+        membership = np.zeros((2, 10), dtype=int)
+        membership[1, 3] = -1
+        with pytest.raises(ValueError, match="membership labels must be nonnegative"):
+            gen_planted_partition(membership, 0.5, 0.1)
+
     def test_weight_laws(self):
         membership = np.tile(np.repeat([0, 1], 10), (2, 1))
         for low, high in [(0.5, 1.5), (0.006, 0.018)]:

@@ -29,6 +29,12 @@ class TestSelectSpatial:
         with pytest.raises(InsufficientSpatialEigenvectors):
             select_spatial(("spatial",) * 4, 9)
 
+    @pytest.mark.parametrize("k, match", [(2.0, "k must be an integer, got 2.0"),
+                                          (0, "k must be at least 1, got 0")])
+    def test_bad_k_rejected(self, k, match):
+        with pytest.raises(ValueError, match=match):
+            select_spatial(("spatial",) * 4, k)
+
 
 class TestKmeans:
     def test_k1_mean(self):
@@ -121,8 +127,12 @@ class TestKmeans:
         assert np.array_equal(res.labels[0], res.labels.ravel())
 
     def test_more_clusters_than_points_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least k=3 points, got 2"):
             kmeans(np.zeros((2, 2)), 3)
+
+    def test_zero_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            kmeans(np.zeros((90, 2)), 0)
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="at least one k-means restart, got 0"):
@@ -297,6 +307,20 @@ class TestPipeline:
         truth[1, 4] = np.nan
         with pytest.raises(ValueError, match="labeling b has a non-finite label"):
             spectral_cluster(graph, 2, truth=truth)
+
+    @pytest.mark.parametrize("k, match", [(2.0, "k must be an integer, got 2.0"),
+                                          (True, "k must be an integer, got True"),
+                                          (0, "k must be at least 1, got 0"),
+                                          (-1, "k must be at least 1, got -1")])
+    def test_bad_k_rejected_before_propagation(self, monkeypatch, k, match):
+        # a float k used to run the whole eigensolve and then fail with a
+        # TypeError in the eigenpair selection
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated before k was checked")
+
+        monkeypatch.setattr(clustering, "propagate_densities", no_propagation)
+        with pytest.raises(ValueError, match=match):
+            spectral_cluster(static_blocks(seed=0)[0], k)
 
     def test_truth_of_another_shape_rejected(self):
         graph, truth = static_blocks(seed=0)

@@ -776,7 +776,7 @@ class TestStreamedWriters:
             k = min(count, 1)  # k x M x 1 records with M = count (M = 1 if 0)
             M = max(count, 1)
             vectors = np.linspace(-1.5, 2.5, M * k).reshape(M, k)
-            embedding = SpectralEmbedding(n=1, M=M, eigenvalues=np.ones(k),
+            embedding = SpectralEmbedding(M=M, eigenvalues=np.ones(k),
                                           vectors=vectors, tags=("spatial",) * k)
             save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
             rows = [[idx, t + 1, 0, repr(float(folded[t, 0]))]
@@ -807,7 +807,7 @@ class TestStreamedWriters:
     def test_failure_after_first_chunk_leaves_no_file(self, tmp_path,
                                                       monkeypatch, write):
         written = self.fail_after_first_chunk(monkeypatch)
-        embedding = SpectralEmbedding(n=3, M=2, eigenvalues=np.ones(1),
+        embedding = SpectralEmbedding(M=2, eigenvalues=np.ones(1),
                                       vectors=np.ones((6, 1)), tags=("spatial",))
         with pytest.raises(RuntimeError, match="disk gone"):
             if write == "graph":
@@ -929,7 +929,7 @@ class TestWriters:
         vectors[4:6, 2] = [0.0, -0.0]           # equal, but printed apart
         vectors[6, 3] = 1e-300
         vectors[7, 3] = 12345678.9
-        embedding = SpectralEmbedding(n=n, M=M, eigenvalues=np.arange(k, 0, -1.0),
+        embedding = SpectralEmbedding(M=M, eigenvalues=np.arange(k, 0, -1.0),
                                       vectors=vectors, tags=("spatial",) * k)
         save_eigenvectors_csv(tmp_path / "vec.csv", embedding)
         rows = [[idx, t + 1, v, repr(float(folded[t, v]))]

@@ -6,10 +6,10 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from stgl import (ConvergenceFailure, TimeEvolvingGraph, ZeroOutDegree,
-                  adjusted_rand_index, assemble_system, eigendecompose,
-                  gen_benchmark1, gen_benchmark2, gen_line_graph, kmeans,
-                  laplacian, propagate_densities, select_spatial,
+from stgl import (ConvergenceFailure, SpectralEmbedding, TimeEvolvingGraph,
+                  ZeroOutDegree, adjusted_rand_index, assemble_system,
+                  eigendecompose, gen_benchmark1, gen_benchmark2, gen_line_graph,
+                  kmeans, laplacian, propagate_densities, select_spatial,
                   spectral_cluster, static_blocks)
 from stgl.laplacian import eigenpair_order, symmetric_eigenpairs
 from stgl.supra import classify_folded
@@ -620,6 +620,40 @@ class TestLaplacianSpectrum:
         system = build_system(g, self_loops=False)
         spectrum = 1.0 - np.linalg.eigvalsh(system.symmetrized())
         np.testing.assert_allclose(np.sort(spectrum), [0.0, 2.0], atol=1e-12)
+
+
+class TestSpectralEmbedding:
+    def test_folds_by_M_alone(self):
+        vectors = np.arange(12.0).reshape(6, 2)
+        emb = SpectralEmbedding(M=3, eigenvalues=np.ones(2), vectors=vectors,
+                                tags=("constant", "spatial"))
+        assert emb.folded.shape == (2, 3, 2)
+        assert np.array_equal(emb.folded[1], vectors[:, 1].reshape(3, 2))
+
+    def test_rows_not_a_multiple_of_M_rejected(self):
+        # 5 rows cannot fold into 2 views
+        with pytest.raises(ValueError, match="vectors must be 2-d with a positive "
+                                             "multiple of M=2 rows"):
+            SpectralEmbedding(M=2, eigenvalues=np.ones(2), vectors=np.ones((5, 2)),
+                              tags=("spatial",) * 2)
+
+    @pytest.mark.parametrize("M, match", [(0, "M must be at least 1, got 0"),
+                                          (-2, "M must be at least 1, got -2"),
+                                          (2.0, "M must be an integer, got 2.0"),
+                                          (True, "M must be an integer, got True")])
+    def test_M_not_a_positive_integer_rejected(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            SpectralEmbedding(M=M, eigenvalues=np.ones(1), vectors=np.ones((4, 1)),
+                              tags=("spatial",))
+
+    @pytest.mark.parametrize("values, tags", [(np.ones(1), ("spatial",) * 2),
+                                              (np.ones(2), ("spatial",)),
+                                              (np.ones(3), ("spatial",) * 3)],
+                             ids=["eigenvalues", "tags", "columns"])
+    def test_counts_that_differ_rejected(self, values, tags):
+        with pytest.raises(ValueError, match="differ in count"):
+            SpectralEmbedding(M=2, eigenvalues=values, vectors=np.ones((4, 2)),
+                              tags=tags)
 
 
 class TestFoldAndClassify:

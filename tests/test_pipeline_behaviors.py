@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stgl
-from stgl import (OperatorSequence, SpatioTemporalSystem, StglError,
-                  TimeEvolvingGraph, adjusted_rand_index, build_supra,
-                  gen_benchmark1, gen_planted_partition, kmeans, score_against,
-                  spectral_cluster, supra_cluster)
+from stgl import (OperatorSequence, SpatioTemporalSystem, SpectralEmbedding,
+                  StglError, SupraSystem, TimeEvolvingGraph, adjusted_rand_index,
+                  build_supra, gen_benchmark1, gen_planted_partition, kmeans,
+                  score_against, spectral_cluster, supra_cluster)
 from stgl.supra import classify_folded
 
 
@@ -125,10 +125,13 @@ def test_constructors_take_only_what_they_cannot_compute():
     # n, M and the densities follow from the data; taking them as inputs
     # again would need checks that the inputs agree
     params = {cls: list(inspect.signature(cls).parameters)
-              for cls in (TimeEvolvingGraph, OperatorSequence, SpatioTemporalSystem)}
+              for cls in (TimeEvolvingGraph, OperatorSequence, SpatioTemporalSystem,
+                          SpectralEmbedding, SupraSystem)}
     assert params == {TimeEvolvingGraph: ["snapshots", "directed"],
                       OperatorSequence: ["transitions"],
-                      SpatioTemporalSystem: ["cross", "B_diag"]}
+                      SpatioTemporalSystem: ["cross", "B_diag"],
+                      SpectralEmbedding: ["M", "eigenvalues", "vectors", "tags"],
+                      SupraSystem: ["M", "H", "scale"]}
     assert not hasattr(TimeEvolvingGraph, "from_dense")
 
 
@@ -153,6 +156,32 @@ def _bad_call(entry, kind, n, pick, rng):
     one input replaced by the bad value of ``kind``; ``pick`` chooses
     which input or entry."""
     value = BAD_VALUES[kind]
+    # M and k take "negative" as an int, so that their bound meets it and not
+    # their integer check
+    number = -1 if kind == "negative" else value
+    if entry == "embedding":
+        vectors, values = rng.standard_normal((2 * n, 2)), np.ones(2)
+        if kind == "view-count":  # M = 2 with a row or an eigenvalue short
+            number = 2
+            if pick % 2:
+                vectors = vectors[1:]
+            else:
+                values = values[1:]
+        return lambda: SpectralEmbedding(number, values, vectors, ("spatial",) * 2)
+    if entry == "supra":
+        H, scale = np.eye(2 * n), np.ones(2 * n)
+        if kind == "view-count":  # a row of H, a column of H or an entry of scale short
+            short = [(H[1:, 1:], scale[1:]), (H[:, 1:], scale), (H, scale[1:])][pick % 3]
+            return lambda: SupraSystem(2, *short)
+        return lambda: SupraSystem(number, H, scale)
+    if entry == "k":
+        W = np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
+        graph = TimeEvolvingGraph([W + W.T] * 2)
+        if kind == "view-count":  # the truth a view short
+            return lambda: spectral_cluster(graph, 2, truth=np.zeros((1, n), int))
+        if pick % 2:
+            return lambda: supra_cluster(build_supra(graph, 1.0), number)
+        return lambda: spectral_cluster(graph, number)
     if entry == "graph":
         W = np.triu(rng.uniform(0.5, 1.5, (n, n)), 1)
         W = W + W.T
@@ -197,7 +226,8 @@ def _bad_call(entry, kind, n, pick, rng):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(n=st.integers(2, 6), pick=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
 def test_bad_input_raises_only_value_or_package_errors(kind, n, pick, seed):
-    for entry in ("graph", "operators", "kmeans", "labels", "generator"):
+    for entry in ("graph", "operators", "embedding", "supra", "k", "kmeans", "labels",
+                  "generator"):
         try:
             _bad_call(entry, kind, n, pick, np.random.default_rng(seed))()
         except (ValueError, StglError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
-from stgl import (DirectedInput, InsufficientSpatialEigenvectors,
+from stgl import (DirectedInput, InsufficientSpatialEigenvectors, SupraSystem,
                   TimeEvolvingGraph, build_supra, gen_benchmark1, static_blocks,
                   supra, supra_cluster, symmetrize)
 from stgl.supra import VARIANTS, classify_folded, supra_spectrum
@@ -203,6 +203,46 @@ class TestSupraCluster:
         a = supra_cluster(system, 2, seed=5)
         b = supra_cluster(system, 2, seed=5)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("k, match", [(2.0, "k must be an integer, got 2.0"),
+                                          (True, "k must be an integer, got True"),
+                                          (0, "k must be at least 1, got 0"),
+                                          (-1, "k must be at least 1, got -1")])
+    def test_bad_k_rejected_before_the_solve(self, monkeypatch, k, match):
+        g, _ = static_blocks(seed=0)
+        system = build_supra(g, 0.5)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before k was checked")
+
+        monkeypatch.setattr(supra, "supra_spectrum", no_solve)
+        with pytest.raises(ValueError, match=match):
+            supra_cluster(system, k)
+
+
+class TestSupraSystem:
+    def test_rows_not_a_multiple_of_M_rejected(self):
+        # 5 rows cannot fold into 2 views
+        with pytest.raises(ValueError, match="H must be 2-d with a positive "
+                                             "multiple of M=2 rows"):
+            SupraSystem(M=2, H=np.eye(5), scale=np.ones(5))
+
+    @pytest.mark.parametrize("M, match", [(0, "M must be at least 1, got 0"),
+                                          (2.0, "M must be an integer, got 2.0"),
+                                          (True, "M must be an integer, got True")])
+    def test_M_not_a_positive_integer_rejected(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            SupraSystem(M=M, H=np.eye(4), scale=np.ones(4))
+
+    def test_non_square_H_rejected(self):
+        with pytest.raises(ValueError, match=r"H must be square, got shape \(4, 6\)"):
+            SupraSystem(M=2, H=np.ones((4, 6)), scale=np.ones(4))
+
+    @pytest.mark.parametrize("scale", [np.ones(3), np.ones(5), np.ones((4, 1))],
+                             ids=["short", "long", "2-d"])
+    def test_scale_of_another_length_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must have length 4"):
+            SupraSystem(M=2, H=np.eye(4), scale=scale)
 
 
 @pytest.fixture()

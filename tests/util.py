@@ -212,7 +212,7 @@ def reference_build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -
         degrees = (np.asarray(blocks.sum(axis=1)).ravel()
                    + a * np.asarray(coupling.sum(axis=1)).ravel())
         H = sparse.csr_array(sparse.diags_array(degrees) - W)
-        return SupraSystem(n=n, M=M, H=H, scale=np.ones(N))
+        return SupraSystem(M=M, H=H, scale=np.ones(N))
 
     del blocks  # only W is read below; the copy would raise the peak memory
     degrees = np.asarray(W.sum(axis=1)).ravel()
@@ -220,7 +220,7 @@ def reference_build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -
     inv_sqrt = sparse.diags_array(1.0 / np.sqrt(degrees))
     H = sparse.csr_array(eye - inv_sqrt @ W @ inv_sqrt)
     H = sparse.csr_array((H + H.T) * 0.5)
-    return SupraSystem(n=n, M=M, H=H, scale=1.0 / np.sqrt(degrees))
+    return SupraSystem(M=M, H=H, scale=1.0 / np.sqrt(degrees))
 
 
 def supra_laplacian(system):
