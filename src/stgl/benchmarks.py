@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy import sparse
 
+from .errors import check_integer
 from .graph import TimeEvolvingGraph
 
 DEFAULT_WEIGHTS = (0.5, 1.5)
@@ -38,7 +39,8 @@ def gen_planted_partition(membership, p_in, p_out, *,
         raise ValueError(f"weight_range must hold finite 0 < low <= high, "
                          f"got {weight_range}")
     rng = np.random.default_rng(seed)
-    # int32, so that the snapshots' CSR arrays carry int32 indices
+    # int32 from the start, so that no view's COO arrays hold int64 indices
+    # before the graph narrows them: that keeps the generator's peak lower
     iu, ju = (v.astype(np.int32) for v in np.triu_indices(n, k=1))
     snapshots = []
     for m in membership:
@@ -161,5 +163,7 @@ def gen_line_graph() -> TimeEvolvingGraph:
 
 def static_blocks(n=30, blocks=2, M=3, p_in=0.9, p_out=0.05, seed=0):
     """A time-constant planted partition, mostly for tests and examples."""
+    for name, value in (("n", n), ("blocks", blocks), ("M", M)):
+        check_integer(name, value, least=1)
     membership = np.tile(np.repeat(np.arange(blocks), n // blocks), (M, 1))
     return gen_planted_partition(membership, p_in, p_out, seed=seed), membership

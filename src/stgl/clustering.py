@@ -31,11 +31,13 @@ class ClusteringResult:
     inertia: float
 
 
-def check_k(k):
-    """Reject a cluster count k that is not an integer of at least 1."""
-    check_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+def check_k(k, restarts=1):
+    """Reject a cluster count k, or a number of k-means restarts, that is
+    not an integer of at least 1."""
+    check_integer("k", k, least=1)
+    check_integer("restarts", restarts)
+    if restarts < 1:
+        raise ValueError(f"need at least one k-means restart, got {restarts}")
 
 
 def select_spatial(tags, k) -> tuple:
@@ -117,11 +119,8 @@ def kmeans(points, k, seed=0, restarts=10, views=1) -> ClusteringResult:
     if points.ndim != 2 or np.iscomplexobj(points) or not np.isfinite(points).all():
         raise ValueError("points must be a 2-d array of finite real numbers")
     points = points.astype(float, copy=False)
-    check_k(k)
-    check_integer("restarts", restarts)
+    check_k(k, restarts)
     check_integer("views", views)
-    if restarts < 1:
-        raise ValueError(f"need at least one k-means restart, got {restarts}")
     if views < 1:
         raise ValueError(f"need at least one view, got {views}")
     if len(points) < k:
@@ -204,9 +203,10 @@ def spectral_cluster(graph: TimeEvolvingGraph, k, *, seed=0, restarts=10,
     most M - 1 of them are temporal, so they hold k non-temporal ones
     unless negative eigenvalues cut the list short. C has N - M + 1
     non-temporal eigenvectors in all, and a larger k is rejected before
-    any solve, as is a k that is not an integer of at least 1.
+    any solve, as is a k or a ``restarts`` that is not an integer of at
+    least 1.
     """
-    check_k(k)
+    check_k(k, restarts)
     ops = propagate_densities(graph, self_loops=self_loops)
     system = assemble_system(ops)
     N, M = system.size, system.M

@@ -64,8 +64,11 @@ class GraphFormatError(StglError):
     """A graph file does not conform to the expected format."""
 
 
-def check_integer(name, value):
-    """Raise ValueError, naming ``name``, unless ``value`` is an integer; a
-    bool is not one, and neither is a float such as 2.0."""
+def check_integer(name, value, least=None):
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer, and
+    at least ``least`` if that is given; a bool is not an integer, and
+    neither is a float such as 2.0."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -10,9 +10,16 @@ from scipy import sparse
 from .errors import GraphFormatError
 
 
+def index_dtype(size):
+    """The sparse index type for arrays whose entries and lengths are at
+    most ``size``: int32 where it fits, int64 beyond."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
 def _as_csr(W, n=None):
     """W as a zero-free, index-sorted float64 csr_array of arrays of its own,
-    n x n (square for n None), with finite, nonnegative real weights."""
+    n x n (square for n None), with finite, nonnegative real weights and
+    int32 indices wherever they fit."""
     if np.iscomplexobj(W):  # the float64 cast would drop the imaginary parts
         raise GraphFormatError("complex edge weight")
     A = sparse.csr_array(W, dtype=np.float64, copy=True)
@@ -28,6 +35,8 @@ def _as_csr(W, n=None):
             raise GraphFormatError("edge weights overflow a vertex degree")
     A.eliminate_zeros()
     A.sort_indices()
+    index = index_dtype(max(A.nnz, n))
+    A.indices, A.indptr = (a.astype(index, copy=False) for a in (A.indices, A.indptr))
     return A
 
 
@@ -40,8 +49,9 @@ class TimeEvolvingGraph:
     (i, j) of a snapshot is the weight of the edge i -> j at that view; for
     undirected graphs every snapshot is symmetric. Each snapshot is stored
     as a zero-free float64 ``csr_array`` with sorted indices, in arrays of
-    the graph's own, not the caller's; every matrix the pipeline derives
-    from it keeps that index order.
+    the graph's own, not the caller's; its ``indices`` and ``indptr`` are
+    int32 unless n or the stored entry count exceeds 2^31 - 1. Every matrix
+    the pipeline derives from it keeps that index order and width.
     """
 
     snapshots: tuple = field(repr=False)

@@ -39,9 +39,7 @@ NEGATIVE_EIG_CUTOFF = -1e-12
 def check_folding(M, shape, name):
     """Reject an M that is not a positive integer, or an argument ``name``
     of ``shape`` that is not 2-d with a positive multiple of M rows."""
-    check_integer("M", M)
-    if M < 1:
-        raise ValueError(f"M must be at least 1, got {M}")
+    check_integer("M", M, least=1)
     if len(shape) != 2 or shape[0] < 1 or shape[0] % M:
         raise ValueError(f"{name} must be 2-d with a positive multiple of "
                          f"M={M} rows, got shape {shape}")
@@ -300,6 +298,7 @@ def eigendecompose(system: SpatioTemporalSystem, k_request, *,
     ``full_spectrum`` is set, only nonnegative eigenvalues are surfaced, so
     fewer than k_request pairs may be returned.
     """
+    check_integer("k_request", k_request)
     N, M = system.size, system.M
     if not 1 <= k_request <= N:
         raise ValueError(f"k_request must be in [1, {N}], got {k_request}")

@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .clustering import ClusteringResult, check_k, kmeans, select_spatial
 from .errors import DirectedInput
-from .graph import TimeEvolvingGraph
+from .graph import TimeEvolvingGraph, index_dtype
 from .laplacian import (check_folding, eigenpair_order, symmetric_eigenpairs,
                         view_weights)
 
@@ -119,7 +119,7 @@ def build_supra(graph: TimeEvolvingGraph, a, variant="unnormalized") -> SupraSys
     counts = coupled.astype(int) if a else np.zeros(N, int)
     for t in range(M):
         counts[t * n:(t + 1) * n] += np.diff(view(t).indptr)
-    index = np.int32 if max(N, counts.sum()) <= np.iinfo(np.int32).max else np.int64
+    index = index_dtype(max(N, counts.sum()))
     indptr = np.zeros(N + 1, index)
     np.cumsum(counts, out=indptr[1:])
     indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1])
@@ -204,9 +204,10 @@ def supra_cluster(system: SupraSystem, k, seed=0, *, restarts=10,
     d_max / d_min: (M + 1) tau^2 d_max / d_min < 1. Beyond that bound, or
     when j = N holds fewer than k non-temporal vectors, the selection
     raises InsufficientSpatialEigenvectors, as ``spectral_cluster`` does.
-    A k that is not an integer of at least 1 is rejected before the solve.
+    A k or a ``restarts`` that is not an integer of at least 1 is rejected
+    before the solve.
     """
-    check_k(k)
+    check_k(k, restarts)
     M = system.M
     vals, vecs = supra_spectrum(system, min(system.size, k + M + 3))
     if filter_temporal:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_integer
 from .operators import OperatorSequence
 
 
@@ -16,8 +17,10 @@ def simulate_walks(ops: OperatorSequence, starts, seed) -> np.ndarray:
     rows sorted, so the CDF runs over the columns in order and picks the
     same column as ``Generator.choice(n, p=row)``. Walker i draws its M - 1
     uniforms from seed (seed, i), so results do not depend on scheduling or
-    batch splitting. ``starts`` must be a sequence of integer vertices.
+    batch splitting. ``starts`` must be a sequence of integer vertices and
+    ``seed`` a nonnegative integer.
     """
+    check_integer("seed", seed, least=0)
     n, M = ops.n, ops.M
     starts = np.asarray(starts)
     if starts.ndim != 1 or starts.size and starts.dtype.kind not in "iu":

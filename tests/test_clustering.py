@@ -322,6 +322,20 @@ class TestPipeline:
         with pytest.raises(ValueError, match=match):
             spectral_cluster(static_blocks(seed=0)[0], k)
 
+    @pytest.mark.parametrize("restarts, match", [
+        (2.0, "restarts must be an integer, got 2.0"),
+        (True, "restarts must be an integer, got True"),
+        (0, "at least one k-means restart, got 0")])
+    def test_bad_restarts_rejected_before_propagation(self, monkeypatch, restarts,
+                                                      match):
+        # k-means used to reject them only after the whole eigensolve
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagated before restarts was checked")
+
+        monkeypatch.setattr(clustering, "propagate_densities", no_propagation)
+        with pytest.raises(ValueError, match=match):
+            spectral_cluster(static_blocks(seed=0)[0], 2, restarts=restarts)
+
     def test_truth_of_another_shape_rejected(self):
         graph, truth = static_blocks(seed=0)
         extra_view = np.vstack([truth, truth[:1]])

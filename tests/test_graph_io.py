@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import stgl.io as stgl_io
-from stgl import (GraphFormatError, SpectralEmbedding, TimeEvolvingGraph,
-                  gen_benchmark1, gen_benchmark2, gen_line_graph, load_graph,
-                  save_graph, static_blocks)
+from stgl import (GraphFormatError, GyreParams, SpectralEmbedding,
+                  TimeEvolvingGraph, UlamGrid, assemble_system, gen_benchmark1,
+                  gen_benchmark2, gen_line_graph, load_graph, propagate_densities,
+                  save_graph, static_blocks, ulam_counts)
+from stgl.graph import index_dtype
 from stgl.io import (_edge_order, atomic_write_text, save_eigenvectors_csv,
                      save_labels_csv, save_spectrum_csv, write_csv, write_report)
 
@@ -104,6 +106,43 @@ class TestTimeEvolvingGraph:
         assert (i <= j).all()
         # 5 chain edges per view, 4 views
         assert len(t) == len(i) == len(j) == len(w) == 20
+
+
+def _index_types(graph):
+    """The index types of every snapshot, transition and cross block of
+    ``graph``, and of its view coupling X and X^T."""
+    ops = propagate_densities(graph)
+    system = assemble_system(ops)
+    X = system.coupling()
+    matrices = (*graph.snapshots, *ops.transitions, *system.cross, X,
+                sparse.csr_array(X.T))
+    return {array.dtype for A in matrices for array in (A.indices, A.indptr)}
+
+
+class TestIndexWidth:
+    def test_loaded_graph(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph(path, static_blocks(n=12, blocks=2, M=3, seed=4)[0])
+        assert _index_types(load_graph(path)[0]) == {np.dtype(np.int32)}
+
+    def test_ulam_graph(self):
+        grid = UlamGrid(nx=6, ny=3, particles_per_box=4)
+        snapshots = [ulam_counts(grid, GyreParams(), float(t), 0) for t in range(3)]
+        graph = TimeEvolvingGraph(snapshots, directed=True)
+        assert _index_types(graph) == {np.dtype(np.int32)}
+
+    def test_caller_int64_csr(self):
+        W = sparse.csr_array(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        W.indices, W.indptr = W.indices.astype(np.int64), W.indptr.astype(np.int64)
+        assert _index_types(TimeEvolvingGraph([W, W * 2.0])) == {np.dtype(np.int32)}
+        assert W.indices.dtype == W.indptr.dtype == np.int64
+
+    def test_width_rule(self):
+        # sizes as numbers: nothing of 2^31 entries is allocated
+        assert index_dtype(0) is np.int32
+        assert index_dtype(2 ** 31 - 1) is np.int32
+        assert index_dtype(2 ** 31) is np.int64
+        assert index_dtype(np.int64(2 ** 40)) is np.int64
 
 
 class TestGraphFiles:

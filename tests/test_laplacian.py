@@ -215,6 +215,15 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(system, system.size + 1)
 
+    @pytest.mark.parametrize("k_request, match", [
+        (2.0, "k_request must be an integer, got 2.0"),
+        (True, "k_request must be an integer, got True")])
+    def test_k_request_must_be_an_integer(self, k_request, match):
+        # a float used to fail as a slice index, and True was taken as 1
+        system = build_system(static_blocks(seed=0)[0])
+        with pytest.raises(ValueError, match=match):
+            eigendecompose(system, k_request)
+
     def test_iterative_path_matches_dense(self, monkeypatch, lanczos_calls):
         # force the Lanczos branch with a tiny dense cutoff
         g = random_teg(21, n_max=20, M_max=4)

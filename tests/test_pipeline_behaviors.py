@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 import stgl
 from stgl import (OperatorSequence, SpatioTemporalSystem, SpectralEmbedding,
                   StglError, SupraSystem, TimeEvolvingGraph, adjusted_rand_index,
-                  build_supra, gen_benchmark1, gen_planted_partition, kmeans,
-                  score_against, spectral_cluster, supra_cluster)
+                  build_supra, escape_rate, gen_benchmark1, gen_planted_partition,
+                  kmeans, score_against, simulate_walks, spectral_cluster,
+                  static_blocks, supra_cluster)
 from stgl.supra import classify_folded
 
 
@@ -136,13 +137,14 @@ def test_constructors_take_only_what_they_cannot_compute():
 
 
 # one bad value per kind; "view-count" gives an entry point one view too few
-BAD_VALUES = {"nan": np.nan, "inf": np.inf, "negative": -1.0, "float-for-int": 2.0,
-              "bool": True, "complex": 1 + 1j, "view-count": None}
+BAD_VALUES = {"nan": np.nan, "inf": np.inf, "negative": -1.0, "zero": 0,
+              "float-for-int": 2.0, "bool": True, "complex": 1 + 1j, "view-count": None}
 # the (entry point, kind) pairs whose value is valid input there, such as a
 # negative or a complex label; every other pair must be rejected
-VALID = {("graph", "float-for-int"), ("graph", "bool"),
-         ("labels", "negative"), ("labels", "float-for-int"), ("labels", "bool"),
-         ("labels", "complex"), ("generator", "float-for-int"), ("generator", "bool")}
+VALID = {("graph", "zero"), ("graph", "float-for-int"), ("graph", "bool"),
+         ("labels", "negative"), ("labels", "zero"), ("labels", "float-for-int"),
+         ("labels", "bool"), ("labels", "complex"), ("generator", "float-for-int"),
+         ("generator", "bool"), ("walk", "zero")}
 
 
 def _with(array, index, value):
@@ -156,8 +158,8 @@ def _bad_call(entry, kind, n, pick, rng):
     one input replaced by the bad value of ``kind``; ``pick`` chooses
     which input or entry."""
     value = BAD_VALUES[kind]
-    # M and k take "negative" as an int, so that their bound meets it and not
-    # their integer check
+    # M, k, the block counts and the walk seed take "negative" as an int, so
+    # that their bound meets it and not their integer check
     number = -1 if kind == "negative" else value
     if entry == "embedding":
         vectors, values = rng.standard_normal((2 * n, 2)), np.ones(2)
@@ -205,6 +207,17 @@ def _bad_call(entry, kind, n, pick, rng):
         else:
             args[("k", "restarts", "views")[pick % 3]] = value
         return lambda: kmeans(points, **args)
+    if entry == "blocks":
+        if kind == "view-count":
+            return lambda: static_blocks(n=2 * n, M=1)
+        args = {"n": 2 * n, "blocks": 2, "M": 2}
+        args[("n", "blocks", "M")[pick % 3]] = number
+        return lambda: static_blocks(**args)
+    if entry == "walk":
+        if kind == "view-count":  # the per-view sets a view short
+            return lambda: escape_rate(np.zeros((2, 2), int), [[0]])
+        ops = OperatorSequence([np.full((n, n), 1.0 / n)] * 2)
+        return lambda: simulate_walks(ops, [pick % n], number)
     if entry == "labels":
         a, b = rng.integers(0, 3, n), rng.integers(0, 3, n)
         if kind == "view-count":
@@ -227,7 +240,7 @@ def _bad_call(entry, kind, n, pick, rng):
 @given(n=st.integers(2, 6), pick=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
 def test_bad_input_raises_only_value_or_package_errors(kind, n, pick, seed):
     for entry in ("graph", "operators", "embedding", "supra", "k", "kmeans", "labels",
-                  "generator"):
+                  "generator", "blocks", "walk"):
         try:
             _bad_call(entry, kind, n, pick, np.random.default_rng(seed))()
         except (ValueError, StglError):

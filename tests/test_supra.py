@@ -219,6 +219,21 @@ class TestSupraCluster:
         with pytest.raises(ValueError, match=match):
             supra_cluster(system, k)
 
+    @pytest.mark.parametrize("restarts, match", [
+        (2.0, "restarts must be an integer, got 2.0"),
+        (True, "restarts must be an integer, got True"),
+        (0, "at least one k-means restart, got 0")])
+    def test_bad_restarts_rejected_before_the_solve(self, monkeypatch, restarts,
+                                                    match):
+        system = build_supra(static_blocks(seed=0)[0], 0.5)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before restarts was checked")
+
+        monkeypatch.setattr(supra, "supra_spectrum", no_solve)
+        with pytest.raises(ValueError, match=match):
+            supra_cluster(system, 2, restarts=restarts)
+
 
 class TestSupraSystem:
     def test_rows_not_a_multiple_of_M_rejected(self):
